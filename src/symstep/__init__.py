@@ -5,7 +5,6 @@ self-adjoint implicit schemes that solve a per-step nonlinear system in the
 new position, plus the models, solvers, and diagnostics needed to study them.
 """
 
-from .backend import BACKEND
 from .config import ConfigError, ExperimentConfig, kepler_start, parse_config
 from .diagnostics import (DriftSeries, OrderEstimate, analytic_reference,
                           angular_momentum_series, convergence_order,
@@ -25,7 +24,6 @@ from .solvers import (SolverConfig, SolverReport, solve_fixed_point,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
     "ConfigError",
     "DerivativeReport",
     "DriftSeries",

@@ -204,8 +204,9 @@ def s3_momentum_update(variant, model, a, x, h):
     a = np.asarray(a, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
     if model.kind >= 0:
+        consts = kernels.s3_constants(model.mass, h, ca, cx, cb)
         return kernels.s3_momentum_kernel(model.kind, model.kernel_params,
-                                          model.mass, a, x, h, ca, cx, cb)
+                                          consts, a, x)
     delta = x - a
     c = h / 12.0
     return (model.mass * delta / h
@@ -250,9 +251,10 @@ def s3_step(variant, model, s, h, solver_cfg=None):
     ca, cx, cb = _S3_COEFFS[variant]
 
     if model.kind >= 0 and cfg.method == "newton":
+        consts = kernels.s3_constants(model.mass, h, ca, cx, cb)
         x, pn, status, iters, rnorm = kernels.s3_step_kernel(
-            model.kind, model.kernel_params, model.mass, s.q, s.p, h,
-            ca, cx, cb, cfg.tolerance, cfg.max_iterations)
+            model.kind, model.kernel_params, consts, s.q, s.p, h,
+            cfg.tolerance, cfg.max_iterations)
         report = SolverReport(status == kernels.STATUS_OK, int(iters),
                               float(rnorm), _KERNEL_CAUSE[int(status)])
         if status != kernels.STATUS_OK:

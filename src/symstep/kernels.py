@@ -1,30 +1,27 @@
-"""Numeric kernels shared by both backends.
+"""Numeric kernels of the built-in models and of the integrators' fast path.
 
-Everything here is written once, as plain loops over contiguous float64
-arrays, and decorated with :func:`symstep.backend.jit_kernel`.  Under the
-numba backend these compile to machine code; under the numpy backend the
-same functions run interpreted.  Keeping a single source guarantees the two
-backends are bit-identical.
+Models are dispatched by an integer ``kind`` with a flat float parameter
+array (see the KIND_* constants), so the kernels take no model object.
 
-Deliberate restrictions for nopython compatibility:
+* Vectors of length d -- the potential value and gradient, and with them the
+  velocity Verlet step -- are computed by plain loops over the coordinates.
+* Every d x d quantity of the implicit step is array code: the Lennard-Jones
+  Hessian is assembled from its 3 x 3 pair blocks, the Newton Jacobian, the
+  residual and both Hessian-vector products are array expressions, and the
+  Newton update is a LAPACK solve (``np.linalg.solve``).
 
-* no exceptions -- singular configurations are signalled with NaN fills and
-  step/solver failures with integer status codes (the Python wrappers in
-  :mod:`symstep.models` / :mod:`symstep.integrators` translate these into
-  proper errors);
-* no ``np.linalg`` / BLAS calls -- reductions and the dense linear solve are
-  explicit loops, so evaluation order (and therefore rounding) is fixed and
-  independent of the host BLAS;
-* models are dispatched by an integer ``kind`` with a flat float parameter
-  array, see the KIND_* constants.
+Kernels raise no exceptions of their own: singular configurations are
+signalled with NaN fills and step failures with integer status codes (the
+wrappers in :mod:`symstep.models` / :mod:`symstep.integrators` translate
+these into proper errors).
 
 Status codes returned by the implicit-step kernels:
 0 converged, 1 max iterations, 2 singular Jacobian, 3 non-finite value.
 """
 
-import numpy as np
+import math
 
-from .backend import jit_kernel
+import numpy as np
 
 KIND_FREE = 0
 KIND_HARMONIC = 1  # params = [omega]
@@ -36,26 +33,15 @@ STATUS_MAX_ITERATIONS = 1
 STATUS_SINGULAR_JACOBIAN = 2
 STATUS_NON_FINITE = 3
 
-
-@jit_kernel
-def _all_finite(v):
-    for i in range(v.size):
-        if not np.isfinite(v[i]):
-            return False
-    return True
+_I3 = np.eye(3)
 
 
-@jit_kernel
-def _max_abs(v):
-    m = 0.0
-    for i in range(v.size):
-        a = abs(v[i])
-        if a > m:
-            m = a
-    return m
+def _finite(v):
+    """Whether every entry of the vector v is finite; at the small d of most
+    models this costs a fraction of ``np.isfinite(v).all()``."""
+    return all(map(math.isfinite, v.tolist()))
 
 
-@jit_kernel
 def model_value(kind, params, q):
     if kind == KIND_FREE:
         return 0.0
@@ -91,7 +77,6 @@ def model_value(kind, params, q):
     return v
 
 
-@jit_kernel
 def model_gradient(kind, params, q):
     d = q.size
     g = np.zeros(d)
@@ -140,9 +125,38 @@ def model_gradient(kind, params, q):
     return g
 
 
-@jit_kernel
+def _lj_hessian(eps, sig, q):
+    """LJ Hessian from its 3 x 3 pair blocks over dense (N, N) pair arrays.
+
+    Pair (i, j) contributes B_ij = u'' rr^T/r^2 + (u'/r)(I - rr^T/r^2) to the
+    diagonal blocks (i, i), (j, j) and -B_ij to (i, j), (j, i).  Self pairs
+    get r^2 = inf, which makes their block exactly zero.
+    """
+    d = q.size
+    n = d // 3
+    X = q.reshape(n, 3)
+    D = X[:, None, :] - X[None, :, :]
+    r2 = (D * D).sum(axis=2)
+    if np.count_nonzero(r2 == 0.0) > n:  # coincident atoms
+        return np.full((d, d), np.nan)
+    r2[range(n), range(n)] = np.inf
+    inv2 = sig * sig / r2
+    inv6 = inv2 * inv2 * inv2
+    inv12 = inv6 * inv6
+    k = 24.0 * eps / r2
+    upr = -k * (2.0 * inv12 - inv6)        # u'(r)/r
+    upp = k * (26.0 * inv12 - 7.0 * inv6)  # u''(r)
+    B = (((upp - upr) / r2)[:, :, None, None] * D[:, :, :, None] * D[:, :, None, :]
+         + upr[:, :, None, None] * _I3)
+    H = -B
+    H[range(n), range(n)] = B.sum(axis=1)
+    return H.transpose(0, 2, 1, 3).reshape(d, d)
+
+
 def model_hessian(kind, params, q):
     d = q.size
+    if kind == KIND_LJ:
+        return _lj_hessian(params[0], params[1], q)
     H = np.zeros((d, d))
     if kind == KIND_FREE:
         return H
@@ -151,102 +165,23 @@ def model_hessian(kind, params, q):
         for i in range(d):
             H[i, i] = w2
         return H
-    if kind == KIND_KEPLER:
-        r2 = 0.0
-        for i in range(d):
-            r2 += q[i] * q[i]
-        if r2 == 0.0:
-            for i in range(d):
-                for j in range(d):
-                    H[i, j] = np.nan
-            return H
-        r = np.sqrt(r2)
-        r3 = r2 * r
-        r5 = r3 * r2
-        for i in range(d):
-            for j in range(d):
-                H[i, j] = -3.0 * q[i] * q[j] / r5
-            H[i, i] += 1.0 / r3
+    # Kepler
+    r2 = 0.0
+    for i in range(d):
+        r2 += q[i] * q[i]
+    if r2 == 0.0:
+        H[:, :] = np.nan
         return H
-    eps = params[0]
-    sig = params[1]
-    n = d // 3
-    dv = np.empty(3)
-    for i in range(n):
-        for j in range(i + 1, n):
-            dv[0] = q[3 * i] - q[3 * j]
-            dv[1] = q[3 * i + 1] - q[3 * j + 1]
-            dv[2] = q[3 * i + 2] - q[3 * j + 2]
-            r2 = dv[0] * dv[0] + dv[1] * dv[1] + dv[2] * dv[2]
-            if r2 == 0.0:
-                for a in range(d):
-                    for b in range(d):
-                        H[a, b] = np.nan
-                return H
-            inv2 = sig * sig / r2
-            inv6 = inv2 * inv2 * inv2
-            inv12 = inv6 * inv6
-            upr = -(24.0 * eps / r2) * (2.0 * inv12 - inv6)   # u'(r)/r
-            upp = (24.0 * eps / r2) * (26.0 * inv12 - 7.0 * inv6)  # u''(r)
-            # pair block B = u'' rr^T/r^2 + (u'/r)(I - rr^T/r^2)
-            for a in range(3):
-                for b in range(3):
-                    bab = (upp - upr) * dv[a] * dv[b] / r2
-                    if a == b:
-                        bab += upr
-                    H[3 * i + a, 3 * i + b] += bab
-                    H[3 * j + a, 3 * j + b] += bab
-                    H[3 * i + a, 3 * j + b] -= bab
-                    H[3 * j + a, 3 * i + b] -= bab
+    r = np.sqrt(r2)
+    r3 = r2 * r
+    r5 = r3 * r2
+    for i in range(d):
+        for j in range(d):
+            H[i, j] = -3.0 * q[i] * q[j] / r5
+        H[i, i] += 1.0 / r3
     return H
 
 
-@jit_kernel
-def gauss_solve(A, b):
-    """Dense solve of A x = b by Gaussian elimination with partial pivoting.
-
-    Returns (x, ok); ok is False when a pivot is exactly zero (singular
-    matrix).  A and b are not modified.
-    """
-    n = b.size
-    U = A.copy()
-    y = b.copy()
-    x = np.zeros(n)
-    for col in range(n):
-        piv = col
-        best = abs(U[col, col])
-        for r in range(col + 1, n):
-            v = abs(U[r, col])
-            if v > best:
-                best = v
-                piv = r
-        if best == 0.0:
-            return x, False
-        if piv != col:
-            for c in range(col, n):
-                t = U[col, c]
-                U[col, c] = U[piv, c]
-                U[piv, c] = t
-            t = y[col]
-            y[col] = y[piv]
-            y[piv] = t
-        inv = 1.0 / U[col, col]
-        for r in range(col + 1, n):
-            f = U[r, col] * inv
-            if f != 0.0:
-                U[r, col] = 0.0
-                for c in range(col + 1, n):
-                    U[r, c] -= f * U[col, c]
-                y[r] -= f * y[col]
-    for i in range(n - 1, -1, -1):
-        s = y[i]
-        for j in range(i + 1, n):
-            s -= U[i, j] * x[j]
-        x[i] = s / U[i, i]
-    return x, True
-
-
-@jit_kernel
 def verlet_step_kernel(kind, params, mass, q, p, h):
     d = q.size
     ga = model_gradient(kind, params, q)
@@ -262,122 +197,98 @@ def verlet_step_kernel(kind, params, mass, q, p, h):
     return x, pn
 
 
-@jit_kernel
-def s3_residual_kernel(kind, params, mass, a, p, h, ca, cx, cb, ga, Ha, x):
+def s3_constants(mass, h, ca, cx, cb):
+    """Per-run constants of the implicit step for the coefficient triple
+    (ca, cx, cb): (M/h, diag(M/h), (h/12) ca, (h/12) cx, (h/12) cb)."""
+    c = h / 12.0
+    mh = mass / h
+    return mh, np.diag(mh), c * ca, c * cx, c * cb
+
+
+def s3_residual_kernel(kind, params, ccx, a, base, J0, x):
     """Residual of the implicit position equation at candidate x.
 
-    R(x) = M(x-a)/h + (h/12)(ca g(a) + cx g(x)) + (h/12) cb Hs(a)(x-a) - p
-    with the variant fixed by the coefficient triple (ca, cx, cb).
+    R(x) = M(x-a)/h + (h/12)(ca g(a) + cx g(x)) + (h/12) cb Hs(a)(x-a) - p,
+    with ccx = (h/12) cx and the per-step terms J0 = M/h + (h/12) cb Hs(a)
+    and base = (h/12) ca g(a) - p precomputed.
     """
-    d = a.size
-    gx = model_gradient(kind, params, x)
-    c = h / 12.0
-    r = np.empty(d)
-    for i in range(d):
-        hv = 0.0
-        for j in range(d):
-            hv += Ha[i, j] * (x[j] - a[j])
-        r[i] = (mass[i] * (x[i] - a[i]) / h
-                + c * (ca * ga[i] + cx * gx[i])
-                + c * cb * hv
-                - p[i])
-    return r
+    return J0.dot(x - a) + ccx * model_gradient(kind, params, x) + base
 
 
-@jit_kernel
-def s3_momentum_kernel(kind, params, mass, a, x, h, ca, cx, cb):
+def s3_momentum_kernel(kind, params, consts, a, x):
     """New momentum once the position equation is solved.
 
     p' = M(x-a)/h + (h/12)(-cx g(a) - ca g(x)) + (h/12) cb Hs(x)(x-a).
     The coefficient swap (ca, cx) -> (-cx, -ca) relative to the residual is
     exactly what makes each variant self-adjoint.
     """
-    d = a.size
+    _, Mh, cca, ccx, ccb = consts
+    delta = x - a
     ga = model_gradient(kind, params, a)
     gx = model_gradient(kind, params, x)
     Hx = model_hessian(kind, params, x)
-    c = h / 12.0
-    pn = np.empty(d)
-    for i in range(d):
-        hv = 0.0
-        for j in range(d):
-            hv += Hx[i, j] * (x[j] - a[j])
-        pn[i] = (mass[i] * (x[i] - a[i]) / h
-                 + c * (-cx * ga[i] - ca * gx[i])
-                 + c * cb * hv)
-    return pn
+    return (Mh + ccb * Hx).dot(delta) - (ccx * ga + cca * gx)
 
 
-@jit_kernel
-def s3_step_kernel(kind, params, mass, a, p, h, ca, cx, cb, tol, maxit):
+def s3_step_kernel(kind, params, consts, a, p, h, tol, maxit):
     """One implicit step: Newton on the position residual, then the momentum
-    relation.  Returns (x, p_new, status, iterations, residual_norm) where
-    x is the best iterate found and residual_norm its residual.
+    relation.  ``consts`` comes from :func:`s3_constants`.  Returns
+    (x, p_new, status, iterations, residual_norm) where x is the best iterate
+    found and residual_norm its residual.
     """
-    d = a.size
+    mh, Mh, cca, ccx, ccb = consts
     ga = model_gradient(kind, params, a)
     Ha = model_hessian(kind, params, a)
-    x = np.empty(d)
-    pnan = np.full(d, np.nan)
-    if not (_all_finite(ga) and _all_finite(Ha.ravel())):
-        return a.copy(), pnan, STATUS_NON_FINITE, 0, np.inf
+    if not np.isfinite(Ha).all():
+        return a.copy(), np.full(a.size, np.nan), STATUS_NON_FINITE, 0, np.inf
     # Verlet predictor keeps Newton in its quadratic basin at moderate h.
-    for i in range(d):
-        x[i] = a[i] + h * p[i] / mass[i] - 0.5 * h * h * ga[i] / mass[i]
-    r = s3_residual_kernel(kind, params, mass, a, p, h, ca, cx, cb, ga, Ha, x)
-    if not _all_finite(r):
-        return x, pnan, STATUS_NON_FINITE, 0, np.inf
-    rnorm = _max_abs(r)
-    best_x = x.copy()
+    x = a + (p - 0.5 * h * ga) / mh
+    base = cca * ga - p
+    J0 = Mh + ccb * Ha
+    r = s3_residual_kernel(kind, params, ccx, a, base, J0, x)
+    # r, and so its norm, is non-finite whenever g(a) (through base) or x
+    # is, so this test covers them too
+    rnorm = abs(r).max()
+    if not math.isfinite(rnorm):
+        return x, np.full(a.size, np.nan), STATUS_NON_FINITE, 0, np.inf
+    best_x = x
     best_norm = rnorm
     status = STATUS_MAX_ITERATIONS
     iters = 0
     if rnorm <= tol:
         status = STATUS_OK
     else:
-        c = h / 12.0
-        J = np.empty((d, d))
         for it in range(1, maxit + 1):
-            Hx = model_hessian(kind, params, x)
-            for i in range(d):
-                for j in range(d):
-                    J[i, j] = c * (cx * Hx[i, j] + cb * Ha[i, j])
-                J[i, i] += mass[i] / h
-            rhs = np.empty(d)
-            for i in range(d):
-                rhs[i] = -r[i]
-            delta, ok = gauss_solve(J, rhs)
-            if not ok:
+            J = J0 + ccx * model_hessian(kind, params, x)
+            try:
+                delta = np.linalg.solve(J, r)
+            except np.linalg.LinAlgError:
                 status = STATUS_SINGULAR_JACOBIAN
                 break
-            for i in range(d):
-                x[i] = x[i] + delta[i]
-            r = s3_residual_kernel(kind, params, mass, a, p, h,
-                                   ca, cx, cb, ga, Ha, x)
-            if not _all_finite(r):
+            x = x - delta
+            r = s3_residual_kernel(kind, params, ccx, a, base, J0, x)
+            rnorm = abs(r).max()
+            if not math.isfinite(rnorm):
                 status = STATUS_NON_FINITE
                 iters = it
                 break
-            rnorm = _max_abs(r)
             if rnorm < best_norm:
                 best_norm = rnorm
-                for i in range(d):
-                    best_x[i] = x[i]
+                best_x = x
             if rnorm <= tol:
                 status = STATUS_OK
                 iters = it
                 break
             iters = it
     if status != STATUS_OK:
-        pn = s3_momentum_kernel(kind, params, mass, a, best_x, h, ca, cx, cb)
+        pn = s3_momentum_kernel(kind, params, consts, a, best_x)
         return best_x, pn, status, iters, best_norm
-    pn = s3_momentum_kernel(kind, params, mass, a, x, h, ca, cx, cb)
-    if not (_all_finite(x) and _all_finite(pn)):
-        return x, pnan, STATUS_NON_FINITE, iters, rnorm
+    pn = s3_momentum_kernel(kind, params, consts, a, x)
+    if not _finite(pn):
+        return x, np.full(a.size, np.nan), STATUS_NON_FINITE, iters, rnorm
     return x, pn, STATUS_OK, iters, rnorm
 
 
-@jit_kernel
 def run_verlet_kernel(kind, params, mass, q0, p0, h, n_steps, stride):
     """Fused velocity-Verlet trajectory.
 
@@ -396,7 +307,7 @@ def run_verlet_kernel(kind, params, mass, q0, p0, h, n_steps, stride):
     rec = 0
     for k in range(1, n_steps + 1):
         x, pn = verlet_step_kernel(kind, params, mass, q, p, h)
-        if not (_all_finite(x) and _all_finite(pn)):
+        if not (_finite(x) and _finite(pn)):
             return Q, P, rec, k, STATUS_NON_FINITE, 0, np.inf
         q = x
         p = pn
@@ -407,7 +318,6 @@ def run_verlet_kernel(kind, params, mass, q0, p0, h, n_steps, stride):
     return Q, P, rec, 0, STATUS_OK, 0, 0.0
 
 
-@jit_kernel
 def run_s3_kernel(kind, params, mass, q0, p0, h, n_steps, stride,
                   ca, cx, cb, tol, maxit):
     """Fused implicit-scheme trajectory; same record/return layout as
@@ -419,18 +329,17 @@ def run_s3_kernel(kind, params, mass, q0, p0, h, n_steps, stride,
     P = np.empty((n_rec + 1, d))
     Q[0, :] = q0
     P[0, :] = p0
+    consts = s3_constants(mass, h, ca, cx, cb)
     q = q0.copy()
     p = p0.copy()
     rec = 0
     iters = 0
     rnorm = 0.0
     for k in range(1, n_steps + 1):
-        x, pn, status, iters, rnorm = s3_step_kernel(
-            kind, params, mass, q, p, h, ca, cx, cb, tol, maxit)
+        q, p, status, iters, rnorm = s3_step_kernel(
+            kind, params, consts, q, p, h, tol, maxit)
         if status != STATUS_OK:
             return Q, P, rec, k, status, iters, rnorm
-        q = x
-        p = pn
         if k % stride == 0:
             rec += 1
             Q[rec, :] = q

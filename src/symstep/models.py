@@ -18,7 +18,7 @@ Evaluating ``kepler`` or ``lj-cluster`` at a configuration with a zero
 inter-particle distance raises :class:`SingularityError`; evaluations never
 return non-finite numbers.  Custom potentials can subclass
 :class:`PotentialModel` and override ``_value``/``_gradient``/``_hessian``
-(such models take the generic integration path rather than the compiled
+(such models take the generic integration path rather than the step
 kernels).
 """
 
@@ -91,8 +91,8 @@ class DerivativeReport:
 class PotentialModel:
     """A named potential with dimension, diagonal mass, and parameters.
 
-    ``kind`` >= 0 marks a built-in model that the compiled kernels can
-    evaluate (``kernel_params`` is its flat parameter vector); kind = -1
+    ``kind`` >= 0 marks a built-in model that :mod:`symstep.kernels`
+    evaluates (``kernel_params`` is its flat parameter vector); kind = -1
     models are evaluated through the Python ``_value``/``_gradient``/
     ``_hessian`` hooks only.
     """

@@ -1,8 +1,8 @@
 """Newton and fixed-point solvers for the per-step implicit equation.
 
 These are the generic (closure-based) solvers used for custom models and for
-the fixed-point fallback; built-in models normally go through the compiled
-step kernels, which implement the same Newton control flow.
+the fixed-point fallback; built-in models normally go through the step
+kernels, which implement the same Newton control flow.
 """
 
 from dataclasses import dataclass

@@ -6,8 +6,8 @@ import symstep as ss
 
 @pytest.fixture(scope="session", autouse=True)
 def warm_kernels():
-    """Touch every kernel entry point once so JIT compilation happens before
-    any timed test runs."""
+    """Run every model through every scheme once, so first-call costs
+    (imports, LAPACK set-up) are paid before any timed test runs."""
     models = [
         ss.make_model("free", dimension=2),
         ss.make_model("harmonic", dimension=2, omega=1.0),

@@ -193,6 +193,21 @@ def test_step_failure_raises_with_report(kepler):
     assert err.value.report.iterations == 3
 
 
+def test_zero_jacobian_reports_singular_jacobian():
+    """omega = 1, m = 1.5, h = 3: the s3-printed Jacobian
+    m/h + (h/12)(cx + cb) omega^2 = 0.5 - 0.5 is exactly zero."""
+    m = ss.make_model("harmonic", dimension=1, omega=1.0, mass=1.5)
+    s = ss.PhaseState([1.0], [0.0])
+    with pytest.raises(ss.StepError) as err:
+        ss.step("s3-printed", m, s, 3.0)
+    report = err.value.report
+    assert report.cause == "singular_jacobian"
+    assert report.iterations == 0
+    traj = ss.integrate(m, "s3-printed", s, 3.0, 4)
+    assert traj.failed_step == 1
+    assert traj.failure.cause == "singular_jacobian"
+
+
 def test_step_into_singularity_raises(kepler):
     # momentum tuned so the position update lands exactly on the origin:
     # x = q + h (p - (h/2) g(q)) with g((1,0)) = (1,0)
