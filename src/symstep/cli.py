@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import (ConfigError, build_config, parse_lines, resolve)
 from .diagnostics import (analytic_reference, angular_momentum_series,
-                          convergence_order, energy_drift,
+                          convergence_order, energy_drift, energy_series,
                           reversibility_error, symplecticity_defect)
 from .integrators import SchemeVariant, StepError, integrate
 from .models import SingularityError, validate_derivatives
@@ -71,9 +71,7 @@ def _trajectory_csv(traj, model):
     header = ("t,"
               + ",".join(f"q{i + 1}" for i in range(d)) + ","
               + ",".join(f"p{i + 1}" for i in range(d)) + ",H,dH")
-    kinetic = 0.5 * np.sum(traj.p * traj.p / model.mass, axis=1)
-    potential = np.array([model.value(traj.q[i]) for i in range(len(traj))])
-    energy = kinetic + potential
+    energy = energy_series(traj, model)
     lines = [header]
     for i in range(len(traj)):
         cells = [_fmt(traj.times[i])]

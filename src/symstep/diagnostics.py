@@ -36,14 +36,18 @@ def _state_distance(a: PhaseState, b: PhaseState):
     return float(max(np.max(np.abs(a.q - b.q)), np.max(np.abs(a.p - b.p))))
 
 
+def energy_series(traj: Trajectory, model):
+    """Total energy, kinetic plus V(q), of every record of traj."""
+    kinetic = 0.5 * np.sum(traj.p * traj.p / model.mass, axis=1)
+    return kinetic + np.array([model.value(q) for q in traj.q])
+
+
 def energy_drift(traj: Trajectory, model) -> DriftSeries:
     if len(traj) == 0:
         raise ValueError("empty trajectory")
     if traj.q.shape[1] != model.dimension:
         raise ValueError("trajectory/model dimension mismatch")
-    kinetic = 0.5 * np.sum(traj.p * traj.p / model.mass, axis=1)
-    potential = np.array([model.value(traj.q[i]) for i in range(len(traj))])
-    total = kinetic + potential
+    total = energy_series(traj, model)
     values = total - total[0]
     mid = (len(values) + 1) // 2
     first = float(np.max(np.abs(values[:mid])))

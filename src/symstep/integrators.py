@@ -31,18 +31,24 @@ H = p^T M^{-1} p / 2 + V(q):
   executable witness of that sign behaviour (the diagnostics suite measures
   it).  Newton on R converges in one iteration for quadratic potentials
   since R is then affine.
+
+Every model, built-in or custom, runs on one engine.  A scheme object built
+once per call (or per ``integrate`` run) holds the per-run constants and
+steps raw arrays through the model's ``_gradient``/``_hessian`` hooks; each
+implicit step solves through :func:`solve_newton` (or
+:func:`solve_fixed_point`).  The public functions check the state and the
+hooks' output at the start state only.
 """
 
 import enum
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from . import kernels
 from .models import PhaseState, SingularityError, hamiltonian_energy
-from .solvers import (CAUSE_MAX_ITERATIONS, CAUSE_NON_FINITE,
-                      CAUSE_SINGULAR_JACOBIAN, IDENTITY_REPORT, SolverConfig,
+from .solvers import (CAUSE_NON_FINITE, IDENTITY_REPORT, SolverConfig,
                       SolverReport, solve_fixed_point, solve_newton)
 
 
@@ -67,13 +73,6 @@ _S3_ACTION_SIGNS = {
     SchemeVariant.S3_PRINTED: (1.0, -1.0),
     SchemeVariant.S3_GENERATING: (-1.0, -1.0),
     SchemeVariant.S3_CORRECTED: (-1.0, 1.0),
-}
-
-_KERNEL_CAUSE = {
-    kernels.STATUS_OK: "",
-    kernels.STATUS_MAX_ITERATIONS: CAUSE_MAX_ITERATIONS,
-    kernels.STATUS_SINGULAR_JACOBIAN: CAUSE_SINGULAR_JACOBIAN,
-    kernels.STATUS_NON_FINITE: CAUSE_NON_FINITE,
 }
 
 
@@ -142,26 +141,115 @@ def _check_state(model, s):
             f"state dimension {s.dimension} != model dimension {model.dimension}")
 
 
+def _finite(v):
+    """Whether every entry of the vector v is finite; at the small d of most
+    models this costs a fraction of ``np.isfinite(v).all()``."""
+    return all(map(math.isfinite, v.tolist()))
+
+
+_NON_FINITE = SolverReport(False, 0, np.inf, CAUSE_NON_FINITE)
+
+
+class _Verlet:
+    """Velocity Verlet on one model at step h.
+
+    Each scheme object has two methods.  ``start(q)`` returns the validated
+    evaluations ``ev`` that a step needs at its start state.  ``advance(q,
+    p, ev)`` takes one step on raw arrays through the model's hooks and
+    returns (x, p', ev at x, report), so the next step reuses them.
+    """
+
+    def __init__(self, model, h):
+        self.model = model
+        self.h = h
+
+    def start(self, q):
+        return self.model.gradient(q)
+
+    def advance(self, q, p, g):
+        """p -= h/2 g(a); x = a + h p/M; p -= h/2 g(x)."""
+        h, model = self.h, self.model
+        ph = p - 0.5 * h * g
+        x = q + h * ph / model.mass
+        gx = model._gradient(x)
+        pn = ph - 0.5 * h * gx
+        if not (_finite(x) and _finite(pn)):
+            model.gradient(x)  # a singular x surfaces as SingularityError
+            raise StepError("verlet step produced a non-finite state", _NON_FINITE)
+        return x, pn, gx, IDENTITY_REPORT
+
+
+class _Implicit:
+    """One s3 variant on one model at step h.  It holds the per-run
+    constants M/h, diag(M/h) and (h/12)(ca, cx, cb), and its ``ev`` is
+    (g, Hs) at the start state (see :class:`_Verlet`)."""
+
+    def __init__(self, variant, model, h, cfg=None):
+        ca, cx, cb = _S3_COEFFS[variant]
+        c = h / 12.0
+        self.model = model
+        self.h = h
+        self.cfg = cfg if cfg is not None else SolverConfig()
+        self.mh = model.mass / h
+        self.Mh = np.diag(self.mh)
+        self.cca, self.ccx, self.ccb = c * ca, c * cx, c * cb
+
+    def start(self, q):
+        return self.model.gradient(q), self.model.hessian(q)
+
+    def system(self, a, p, ga, Ha):
+        """Residual and Jacobian of the position equation,
+        R(x) = J0 (x - a) + (h/12) cx g(x) + (h/12) ca g(a) - p with
+        J0 = M/h + (h/12) cb Hs(a)."""
+        J0 = self.Mh + self.ccb * Ha
+        base = self.cca * ga - p
+        ccx, model = self.ccx, self.model
+
+        def residual(x):
+            return J0.dot(x - a) + ccx * model._gradient(x) + base
+
+        def jacobian(x):
+            return J0 + ccx * model._hessian(x)
+
+        return residual, jacobian
+
+    def momentum(self, a, x, ga):
+        """p' with g(x) and Hs(x), which it evaluates on the way."""
+        gx = self.model._gradient(x)
+        Hx = self.model._hessian(x)
+        pn = (self.Mh + self.ccb * Hx).dot(x - a) - (self.ccx * ga + self.cca * gx)
+        return pn, gx, Hx
+
+    def advance(self, a, p, ev):
+        ga, Ha = ev
+        residual, jacobian = self.system(a, p, ga, Ha)
+        # the Verlet predictor keeps Newton in its quadratic basin at moderate h
+        x0 = a + (p - 0.5 * self.h * ga) / self.mh
+        if self.cfg.method == "newton":
+            x, report = solve_newton(residual, jacobian, x0, self.cfg)
+        else:
+            mh = self.mh
+            x, report = solve_fixed_point(lambda y: y - residual(y) / mh, x0, self.cfg)
+        if not report.converged:
+            raise StepError(
+                f"implicit step failed ({report.cause}) after {report.iterations} "
+                f"iterations, residual {report.final_residual_norm:.3e}", report)
+        pn, gx, Hx = self.momentum(a, x, ga)
+        if not _finite(pn):
+            raise StepError("momentum update produced a non-finite value",
+                            replace(report, converged=False, cause=CAUSE_NON_FINITE))
+        return x, pn, (gx, Hx), report
+
+
+def _scheme(variant, model, h, cfg):
+    if variant is SchemeVariant.VERLET:
+        return _Verlet(model, h)
+    return _Implicit(variant, model, h, cfg)
+
+
 def verlet_step(model, s, h):
     """One velocity Verlet step: p -= h/2 g(a); x = a + h p/M; p -= h/2 g(x)."""
-    h = _check_h(h)
-    _check_state(model, s)
-    if model.kind >= 0:
-        x, pn = kernels.verlet_step_kernel(model.kind, model.kernel_params,
-                                           model.mass, s.q, s.p, h)
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(pn))):
-            # rerun through the model wrapper so the offending gradient
-            # evaluation surfaces as a SingularityError
-            ph = s.p - 0.5 * h * model.gradient(s.q)
-            model.gradient(s.q + h * ph / model.mass)
-            raise StepError("verlet step produced a non-finite state")
-    else:
-        ph = s.p - 0.5 * h * model.gradient(s.q)
-        x = s.q + h * ph / model.mass
-        pn = ph - 0.5 * h * model.gradient(x)
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(pn))):
-            raise StepError("verlet step produced a non-finite state")
-    return StepResult(PhaseState(x, pn), IDENTITY_REPORT)
+    return step(SchemeVariant.VERLET, model, s, h)
 
 
 def _require_s3(variant):
@@ -174,44 +262,17 @@ def _require_s3(variant):
 def build_step_system(variant, model, s, h):
     """Residual and analytic Jacobian of the implicit position equation,
     as closures over the frozen step data (start state, g(a), Hs(a))."""
-    variant = _require_s3(variant)
-    h = _check_h(h)
+    scheme = _Implicit(_require_s3(variant), model, _check_h(h))
     _check_state(model, s)
-    ca, cx, cb = _S3_COEFFS[variant]
-    a, p, m = s.q, s.p, model.mass
-    ga = model.gradient(a)
-    Ha = model.hessian(a)
-    c = h / 12.0
-
-    def residual(x):
-        x = np.asarray(x, dtype=np.float64)
-        delta = x - a
-        return (m * delta / h + c * (ca * ga + cx * model.gradient(x))
-                + c * cb * (Ha @ delta) - p)
-
-    def jacobian(x):
-        x = np.asarray(x, dtype=np.float64)
-        return np.diag(m / h) + c * (cx * model.hessian(x) + cb * Ha)
-
-    return residual, jacobian
+    return scheme.system(s.q, s.p, *scheme.start(s.q))
 
 
 def s3_momentum_update(variant, model, a, x, h):
     """Explicit momentum relation evaluated at the solved position x."""
-    variant = _require_s3(variant)
-    h = _check_h(h)
-    ca, cx, cb = _S3_COEFFS[variant]
+    scheme = _Implicit(_require_s3(variant), model, _check_h(h))
     a = np.asarray(a, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
-    if model.kind >= 0:
-        consts = kernels.s3_constants(model.mass, h, ca, cx, cb)
-        return kernels.s3_momentum_kernel(model.kind, model.kernel_params,
-                                          consts, a, x)
-    delta = x - a
-    c = h / 12.0
-    return (model.mass * delta / h
-            + c * (-cx * model.gradient(a) - ca * model.gradient(x))
-            + c * cb * (model.hessian(x) @ delta))
+    return scheme.momentum(a, x, model.gradient(a))[0]
 
 
 def step_action(variant, model, a, x, h):
@@ -234,70 +295,21 @@ def step_action(variant, model, a, x, h):
     return kinetic + pot + corr
 
 
-def _predictor(model, s, h):
-    return s.q + h * s.p / model.mass - 0.5 * h * h * model.gradient(s.q) / model.mass
-
-
 def s3_step(variant, model, s, h, solver_cfg=None):
     """One implicit step: solve the position equation (Newton by default,
     starting from the Verlet predictor), then update the momentum.
 
     Raises StepError carrying the SolverReport when the solve fails.
     """
-    variant = _require_s3(variant)
-    h = _check_h(h)
-    _check_state(model, s)
-    cfg = solver_cfg if solver_cfg is not None else SolverConfig()
-    ca, cx, cb = _S3_COEFFS[variant]
-
-    if model.kind >= 0 and cfg.method == "newton":
-        consts = kernels.s3_constants(model.mass, h, ca, cx, cb)
-        x, pn, status, iters, rnorm = kernels.s3_step_kernel(
-            model.kind, model.kernel_params, consts, s.q, s.p, h,
-            cfg.tolerance, cfg.max_iterations)
-        report = SolverReport(status == kernels.STATUS_OK, int(iters),
-                              float(rnorm), _KERNEL_CAUSE[int(status)])
-        if status != kernels.STATUS_OK:
-            if status == kernels.STATUS_NON_FINITE:
-                model.gradient(s.q)  # singular start -> SingularityError
-            raise StepError(
-                f"implicit step failed ({report.cause}) after "
-                f"{report.iterations} iterations, residual "
-                f"{report.final_residual_norm:.3e}", report)
-        return StepResult(PhaseState(x, pn), report)
-
-    residual, jacobian = build_step_system(variant, model, s, h)
-    x0 = _predictor(model, s, h)
-    if cfg.method == "newton":
-        x, report = solve_newton(residual, jacobian, x0, cfg)
-    else:
-        a, p, m = s.q, s.p, model.mass
-        ga = model.gradient(a)
-        Ha = model.hessian(a)
-        cc = h * h / 12.0
-
-        def fp_map(x):
-            delta = np.asarray(x, dtype=np.float64) - a
-            force = ca * ga + cx * model.gradient(x) + cb * (Ha @ delta)
-            return a + h * p / m - cc * force / m
-
-        x, report = solve_fixed_point(fp_map, x0, cfg)
-    if not report.converged:
-        raise StepError(
-            f"implicit step failed ({report.cause}) after {report.iterations} "
-            f"iterations, residual {report.final_residual_norm:.3e}", report)
-    pn = s3_momentum_update(variant, model, s.q, x, h)
-    if not np.all(np.isfinite(pn)):
-        raise StepError("momentum update produced a non-finite value", report)
-    return StepResult(PhaseState(x, pn), report)
+    return step(_require_s3(variant), model, s, h, solver_cfg)
 
 
 def step(variant, model, s, h, solver_cfg=None):
-    """Dispatch one step of any variant."""
-    variant = as_variant(variant)
-    if variant is SchemeVariant.VERLET:
-        return verlet_step(model, s, h)
-    return s3_step(variant, model, s, h, solver_cfg)
+    """One step of any variant."""
+    scheme = _scheme(as_variant(variant), model, _check_h(h), solver_cfg)
+    _check_state(model, s)
+    x, pn, _, report = scheme.advance(s.q, s.p, scheme.start(s.q))
+    return StepResult(PhaseState(x, pn), report)
 
 
 def integrate(model, variant, s0, h, n_steps, record_stride=1, solver_cfg=None):
@@ -307,7 +319,8 @@ def integrate(model, variant, s0, h, n_steps, record_stride=1, solver_cfg=None):
     n_steps must be a positive multiple of record_stride so records stay
     uniformly spaced.  h may be negative (backward integration).  On a step
     failure the partial trajectory is returned with failed=True and the
-    1-based index of the failing step; no exception is raised here.
+    1-based index of the failing step; no exception is raised here.  A
+    singular start fails at step 1 and has no initial_energy (None).
     """
     variant = as_variant(variant)
     h = _check_h(h)
@@ -320,52 +333,28 @@ def integrate(model, variant, s0, h, n_steps, record_stride=1, solver_cfg=None):
         raise ValueError("record_stride must be >= 1")
     if n_steps % record_stride != 0:
         raise ValueError("n_steps must be a multiple of record_stride")
-    cfg = solver_cfg if solver_cfg is not None else SolverConfig()
-    e0 = hamiltonian_energy(model, s0)
-
-    fast = model.kind >= 0 and (
-        variant is SchemeVariant.VERLET or cfg.method == "newton")
-    if fast:
-        if variant is SchemeVariant.VERLET:
-            Q, P, rec, fstep, status, iters, rnorm = kernels.run_verlet_kernel(
-                model.kind, model.kernel_params, model.mass, s0.q, s0.p, h,
-                n_steps, record_stride)
-        else:
-            ca, cx, cb = _S3_COEFFS[variant]
-            Q, P, rec, fstep, status, iters, rnorm = kernels.run_s3_kernel(
-                model.kind, model.kernel_params, model.mass, s0.q, s0.p, h,
-                n_steps, record_stride, ca, cx, cb,
-                cfg.tolerance, cfg.max_iterations)
-        failed = fstep > 0
-        failure = None
-        if failed:
-            failure = SolverReport(False, int(iters), float(rnorm),
-                                   _KERNEL_CAUSE[int(status)])
-        Q = Q[:rec + 1].copy()
-        P = P[:rec + 1].copy()
-    else:
-        qs = [s0.q]
-        ps = [s0.p]
-        s = s0
-        failed = False
-        fstep = 0
-        failure = None
+    scheme = _scheme(variant, model, h, solver_cfg)
+    Q = np.empty((n_steps // record_stride + 1, model.dimension))
+    P = np.empty_like(Q)
+    q, p = s0.q, s0.p
+    Q[0], P[0] = q, p
+    rec, k, e0, failure = 0, 1, None, None
+    try:
+        e0 = hamiltonian_energy(model, s0)
+        ev = scheme.start(q)
         for k in range(1, n_steps + 1):
-            try:
-                res = step(variant, model, s, h, cfg)
-            except StepError as err:
-                failed, fstep, failure = True, k, err.report
-                break
-            except SingularityError:
-                failed, fstep = True, k
-                failure = SolverReport(False, 0, np.inf, CAUSE_NON_FINITE)
-                break
-            s = res.state
+            q, p, ev, _ = scheme.advance(q, p, ev)
             if k % record_stride == 0:
-                qs.append(s.q)
-                ps.append(s.p)
-        Q = np.vstack(qs)
-        P = np.vstack(ps)
+                rec += 1
+                Q[rec] = q
+                P[rec] = p
+    except StepError as err:
+        failure = err.report
+    except SingularityError:
+        failure = _NON_FINITE
+    if failure is not None:
+        Q, P = Q[:rec + 1].copy(), P[:rec + 1].copy()
     times = np.arange(Q.shape[0]) * (h * record_stride)
     return Trajectory(times, Q, P, model.name, variant, h, record_stride, e0,
-                      failed, fstep if failed else None, failure)
+                      failure is not None, k if failure is not None else None,
+                      failure)

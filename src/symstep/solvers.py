@@ -1,10 +1,11 @@
 """Newton and fixed-point solvers for the per-step implicit equation.
 
-These are the generic (closure-based) solvers used for custom models and for
-the fixed-point fallback; built-in models normally go through the step
-kernels, which implement the same Newton control flow.
+Both take closures (the residual and its Jacobian, or the fixed-point map)
+and are the only solve loops of the package: every implicit step, of every
+model, runs through one of them.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +45,7 @@ IDENTITY_REPORT = SolverReport(True, 0, 0.0)
 
 
 def _norm(v):
-    return float(np.max(np.abs(v))) if v.size else 0.0
+    return float(abs(v).max()) if v.size else 0.0
 
 
 def solve_newton(residual, jacobian, x0, cfg):
@@ -58,9 +59,10 @@ def solve_newton(residual, jacobian, x0, cfg):
     """
     x = np.array(x0, dtype=np.float64, copy=True)
     r = np.asarray(residual(x), dtype=np.float64)
-    if not np.all(np.isfinite(r)):
-        return x, SolverReport(False, 0, np.inf, CAUSE_NON_FINITE)
+    # the norm is non-finite exactly when some entry of r is
     rnorm = _norm(r)
+    if not math.isfinite(rnorm):
+        return x, SolverReport(False, 0, np.inf, CAUSE_NON_FINITE)
     if rnorm <= cfg.tolerance:
         return x, SolverReport(True, 0, rnorm)
     best_x = x.copy()
@@ -76,11 +78,11 @@ def solve_newton(residual, jacobian, x0, cfg):
             break
         x = x + delta
         r = np.asarray(residual(x), dtype=np.float64)
-        if not np.all(np.isfinite(r)):
+        rnorm = _norm(r)
+        if not math.isfinite(rnorm):
             cause = CAUSE_NON_FINITE
             iters = it
             break
-        rnorm = _norm(r)
         if rnorm < best_norm:
             best_norm = rnorm
             best_x = x.copy()

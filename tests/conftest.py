@@ -6,8 +6,9 @@ import symstep as ss
 
 @pytest.fixture(scope="session", autouse=True)
 def warm_kernels():
-    """Run every model through every scheme once, so first-call costs
-    (imports, LAPACK set-up) are paid before any timed test runs."""
+    """Run every built-in model through every scheme once on the one
+    integration engine, so first-call costs (imports, LAPACK set-up) are
+    paid before any timed test runs."""
     models = [
         ss.make_model("free", dimension=2),
         ss.make_model("harmonic", dimension=2, omega=1.0),

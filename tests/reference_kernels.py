@@ -1,12 +1,32 @@
-"""Scalar-loop reference implementations of the array kernels.
+"""Scalar-loop reference implementations of the library's array code.
 
-``lj_hessian_loop`` assembles the Lennard-Jones Hessian pair by pair and
-``gauss_solve`` is Gaussian elimination with partial pivoting; both are the
-loop forms that ``symstep.kernels`` replaced by array code and a LAPACK
-solve.  Tests compare the library against them.
+``lj_value_loop`` and ``lj_hessian_loop`` evaluate the Lennard-Jones value
+and Hessian pair by pair, and ``gauss_solve`` is Gaussian elimination with
+partial pivoting.  They are the loop forms that the ``lj-cluster`` model's
+dense pair arrays and the Newton solver's LAPACK solve replaced; tests
+compare the library against them.
 """
 
 import numpy as np
+
+
+def lj_value_loop(eps, sig, q):
+    """sum_{i<j} 4 eps [(sig/r)^12 - (sig/r)^6] at flat 3N coordinates q;
+    NaN when two atoms coincide."""
+    n = q.size // 3
+    v = 0.0
+    for i in range(n):
+        for j in range(i + 1, n):
+            dx = q[3 * i] - q[3 * j]
+            dy = q[3 * i + 1] - q[3 * j + 1]
+            dz = q[3 * i + 2] - q[3 * j + 2]
+            r2 = dx * dx + dy * dy + dz * dz
+            if r2 == 0.0:
+                return np.nan
+            inv2 = sig * sig / r2
+            inv6 = inv2 * inv2 * inv2
+            v += 4.0 * eps * (inv6 * inv6 - inv6)
+    return v
 
 
 def lj_hessian_loop(eps, sig, q):

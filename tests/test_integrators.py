@@ -216,6 +216,25 @@ def test_step_into_singularity_raises(kepler):
         ss.verlet_step(kepler, s, 0.1)
 
 
+@pytest.mark.parametrize("variant", S3_VARIANTS)
+@pytest.mark.parametrize("case", ["kepler-origin", "lj-coincident"])
+def test_singular_start(case, variant):
+    """A singular start raises SingularityError from a single step and fails
+    integrate at step 1 with cause non_finite."""
+    if case == "kepler-origin":
+        model, q = ss.make_model("kepler"), np.zeros(2)
+    else:
+        model, q = ss.make_model("lj-cluster", dimension=9), np.zeros(9)
+        q[3:6] = [1.1, 0.0, 0.0]  # atoms 0 and 2 coincide at the origin
+    s = ss.PhaseState(q, np.full(q.size, 0.1))
+    with pytest.raises(ss.SingularityError):
+        ss.s3_step(variant, model, s, 0.01)
+    traj = ss.integrate(model, variant, s, 0.01, 5)
+    assert traj.failed_step == 1
+    assert traj.failure.cause == "non_finite"
+    assert len(traj) == 1
+
+
 # ------------------------------------------------------------------- action
 
 def test_step_action_derivatives_recover_momenta(harmonic):
@@ -280,14 +299,48 @@ def test_integrate_verlet_circular_orbit_closes_to_2e3(kepler):
     assert joint_distance(traj.final_state(), s) <= 2e-3
 
 
-def test_integrate_matches_repeated_steps(kepler):
-    """The fused trajectory path and a python loop of single steps agree
-    bitwise."""
-    s = ss.PhaseState(*ss.kepler_start(0.3))
-    traj = ss.integrate(kepler, "s3-corrected", s, 0.05, 20)
+def engine_case(name):
+    """(model, start state, h) for every built-in model and a custom one."""
+    from test_acceptance import lj_lattice
+    from test_models import QuarticWell
+
+    rng = np.random.default_rng(3)
+    if name == "free":
+        return (ss.make_model("free", dimension=3),
+                ss.PhaseState(rng.normal(size=3), rng.normal(size=3)), 0.1)
+    if name == "harmonic":
+        return (ss.make_model("harmonic", dimension=3, omega=1.3,
+                              mass=[1.0, 2.0, 0.5]),
+                ss.PhaseState(rng.normal(size=3), rng.normal(size=3)), 0.1)
+    if name == "kepler":
+        return ss.make_model("kepler"), ss.PhaseState(*ss.kepler_start(0.3)), 0.05
+    if name == "lj8":
+        return (ss.make_model("lj-cluster", dimension=24),
+                ss.PhaseState(lj_lattice(rng, 8, jitter=0.05),
+                              rng.normal(scale=0.3, size=24)), 0.005)
+    return QuarticWell(2), ss.PhaseState([1.0, -0.5], [0.0, 0.3]), 0.05
+
+
+ENGINE_CASES = ["free", "harmonic", "kepler", "lj8", "quartic"]
+
+
+@pytest.mark.parametrize("variant", [str(v) for v in ALL_VARIANTS])
+@pytest.mark.parametrize("case", ENGINE_CASES)
+def test_integrate_matches_repeated_steps(case, variant):
+    """integrate and a python loop of single steps agree bitwise, for every
+    model and variant, up to and including a failing step (s3-printed on
+    LJ(8) stops at max_iterations at step 15): both run on the same
+    engine."""
+    model, s, h = engine_case(case)
+    traj = ss.integrate(model, variant, s, h, 20)
     cur = s
     for i in range(20):
-        cur = ss.s3_step("s3-corrected", kepler, cur, 0.05).state
+        if traj.failed_step == i + 1:
+            with pytest.raises(ss.StepError) as err:
+                ss.step(variant, model, cur, h)
+            assert err.value.report == traj.failure
+            return
+        cur = ss.step(variant, model, cur, h).state
         npt.assert_array_equal(traj.q[i + 1], cur.q)
         npt.assert_array_equal(traj.p[i + 1], cur.p)
 

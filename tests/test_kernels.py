@@ -1,10 +1,11 @@
-"""Array kernels against their scalar-loop references."""
+"""The array LJ value and Hessian and the LAPACK solve against their
+scalar-loop references."""
 
 import numpy as np
 import pytest
 
 import symstep as ss
-from reference_kernels import gauss_solve, lj_hessian_loop
+from reference_kernels import gauss_solve, lj_hessian_loop, lj_value_loop
 from test_acceptance import lj_lattice
 
 
@@ -22,11 +23,13 @@ def rel_err(a, ref):
 @pytest.mark.parametrize("n_atoms,seed", CLUSTERS)
 @pytest.mark.parametrize("eps,sig", [(1.0, 1.0), (0.7, 1.3)])
 def test_lj_hessian_matches_loop_reference(n_atoms, seed, eps, sig):
+    """The array value is checked on the same inputs."""
     model = ss.make_model("lj-cluster", dimension=3 * n_atoms,
                           epsilon=eps, sigma=sig)
     q = sig * lj_cluster(n_atoms, seed)
-    H = ss.potential_hessian(model, q)
-    assert rel_err(H, lj_hessian_loop(eps, sig, q)) <= 1e-13
+    for evaluate, reference in ((ss.potential_value, lj_value_loop),
+                                (ss.potential_hessian, lj_hessian_loop)):
+        assert rel_err(evaluate(model, q), reference(eps, sig, q)) <= 1e-13
 
 
 def test_lj_hessian_coincident_atoms_is_singular():
@@ -34,8 +37,9 @@ def test_lj_hessian_coincident_atoms_is_singular():
     q = lj_cluster(8, 0)
     q[9:12] = q[0:3]
     assert np.all(np.isnan(lj_hessian_loop(1.0, 1.0, q)))
-    with pytest.raises(ss.SingularityError):
-        model.hessian(q)
+    for evaluate in (model.value, model.gradient, model.hessian):
+        with pytest.raises(ss.SingularityError):
+            evaluate(q)
 
 
 @pytest.mark.parametrize("n_atoms,seed", CLUSTERS)

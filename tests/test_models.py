@@ -262,7 +262,8 @@ def test_singularity_error_is_value_error():
 # ------------------------------------------------------ custom model subclass
 
 class QuarticWell(ss.PotentialModel):
-    """V(q) = sum q_i^4 / 4 — exercises the generic (non-kernel) code path."""
+    """V(q) = sum q_i^4 / 4 — a custom model, run on the same engine as the
+    built-in ones."""
 
     def __init__(self, dimension):
         super().__init__("quartic", dimension)
@@ -277,9 +278,27 @@ class QuarticWell(ss.PotentialModel):
         return np.diag(3.0 * q ** 2)
 
 
+class ShortGradient(QuarticWell):
+    """A gradient of length 1 whatever d is, which would broadcast."""
+
+    def _gradient(self, q):
+        return q[:1] ** 3
+
+
+@pytest.mark.parametrize("variant", ["verlet", "s3-corrected"])
+def test_wrong_length_gradient_rejected(variant):
+    m = ShortGradient(2)
+    s = ss.PhaseState([0.5, -0.3], [0.1, 0.2])
+    with pytest.raises(ValueError, match="gradient has shape"):
+        m.gradient(s.q)
+    with pytest.raises(ValueError, match="gradient has shape"):
+        ss.step(variant, m, s, 0.05)
+    with pytest.raises(ValueError, match="gradient has shape"):
+        ss.integrate(m, variant, s, 0.05, 3)
+
+
 def test_custom_model_validates():
     m = QuarticWell(3)
-    assert m.kind == -1
     rep = ss.validate_derivatives(m, [0.5, -0.3, 1.1])
     assert rep.gradient_error <= 1e-6
     assert rep.hessian_error <= 1e-6
