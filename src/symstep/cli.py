@@ -71,7 +71,9 @@ def _trajectory_csv(traj, model):
     header = ("t,"
               + ",".join(f"q{i + 1}" for i in range(d)) + ","
               + ",".join(f"p{i + 1}" for i in range(d)) + ",H,dH")
-    energy = energy_series(traj, model)
+    # a singular start has no energy; integrate then fails at step 1
+    energy = (energy_series(traj, model) if traj.initial_energy is not None
+              else np.full(len(traj), np.nan))
     lines = [header]
     for i in range(len(traj)):
         cells = [_fmt(traj.times[i])]

@@ -36,8 +36,12 @@ Every model, built-in or custom, runs on one engine.  A scheme object built
 once per call (or per ``integrate`` run) holds the per-run constants and
 steps raw arrays through the model's ``_gradient``/``_hessian`` hooks; each
 implicit step solves through :func:`solve_newton` (or
-:func:`solve_fixed_point`).  The public functions check the state and the
-hooks' output at the start state only.
+:func:`solve_fixed_point`).  The momentum update reuses the g(x) that the
+residual computed at the converged Newton iterate, and a trajectory reuses
+each step's end evaluations as the next step's start, so an implicit step
+makes k + 1 gradient and k + 1 Hessian evaluations for k Newton iterations.
+The public functions check the state and the hooks' output at the start
+state only.
 """
 
 import enum
@@ -182,7 +186,9 @@ class _Verlet:
 class _Implicit:
     """One s3 variant on one model at step h.  It holds the per-run
     constants M/h, diag(M/h) and (h/12)(ca, cx, cb), and its ``ev`` is
-    (g, Hs) at the start state (see :class:`_Verlet`)."""
+    (g, Hs) at the start state (see :class:`_Verlet`).  Within a step, the
+    residual keeps its last (x, g(x)) in ``_residual_at`` for the momentum
+    update."""
 
     def __init__(self, variant, model, h, cfg=None):
         ca, cx, cb = _S3_COEFFS[variant]
@@ -206,16 +212,20 @@ class _Implicit:
         ccx, model = self.ccx, self.model
 
         def residual(x):
-            return J0.dot(x - a) + ccx * model._gradient(x) + base
+            g = model._gradient(x)
+            self._residual_at = x, g
+            return J0.dot(x - a) + ccx * g + base
 
         def jacobian(x):
             return J0 + ccx * model._hessian(x)
 
         return residual, jacobian
 
-    def momentum(self, a, x, ga):
-        """p' with g(x) and Hs(x), which it evaluates on the way."""
-        gx = self.model._gradient(x)
+    def momentum(self, a, x, ga, gx=None):
+        """p' with g(x) and Hs(x); it evaluates Hs(x), and g(x) when not
+        given."""
+        if gx is None:
+            gx = self.model._gradient(x)
         Hx = self.model._hessian(x)
         pn = (self.Mh + self.ccb * Hx).dot(x - a) - (self.ccx * ga + self.cca * gx)
         return pn, gx, Hx
@@ -234,7 +244,11 @@ class _Implicit:
             raise StepError(
                 f"implicit step failed ({report.cause}) after {report.iterations} "
                 f"iterations, residual {report.final_residual_norm:.3e}", report)
-        pn, gx, Hx = self.momentum(a, x, ga)
+        # Newton returns the iterate its last residual was evaluated at,
+        # so g(x) is known; the fixed-point map returns a later point
+        x_r, g_r = self._residual_at
+        self._residual_at = None
+        pn, gx, Hx = self.momentum(a, x, ga, g_r if x is x_r else None)
         if not _finite(pn):
             raise StepError("momentum update produced a non-finite value",
                             replace(report, converged=False, cause=CAUSE_NON_FINITE))

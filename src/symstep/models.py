@@ -17,9 +17,9 @@ name                  V(q)                                          dimension
 Evaluating ``kepler`` or ``lj-cluster`` at a configuration with a zero
 inter-particle distance raises :class:`SingularityError`; evaluations never
 return non-finite numbers.  Each built-in model is a :class:`PotentialModel`
-subclass whose ``_value``/``_gradient``/``_hessian`` hooks are array code
-(all but the Lennard-Jones gradient, see :class:`LJClusterModel`); custom
-potentials subclass it the same way and run on the same integration engine.
+subclass whose ``_value``/``_gradient``/``_hessian`` hooks are array code;
+custom potentials subclass it the same way and run on the same integration
+engine.
 """
 
 import math
@@ -225,11 +225,8 @@ class KeplerModel(PotentialModel):
 
 class LJClusterModel(PotentialModel):
     """V = sum_{i<j} 4 eps [(sig/r_ij)^12 - (sig/r_ij)^6] over N atoms at
-    flat 3N coordinates.  The value and the Hessian are evaluated over dense
-    (N, N) pair arrays.  The gradient stays a loop over pairs until the
-    benchmark stops keeping a record per op (ROADMAP item 0): an array
-    gradient runs lj-cluster about four times as fast, and the extra records
-    push its peak_rss_mb past the bound."""
+    flat 3N coordinates.  The value, the gradient and the Hessian are
+    evaluated over the same dense (N, N) pair arrays."""
 
     def __init__(self, dimension, epsilon, sigma, mass=None):
         super().__init__("lj-cluster", dimension, mass=mass,
@@ -256,27 +253,10 @@ class LJClusterModel(PotentialModel):
         return 2.0 * self.parameters["epsilon"] * (inv6 * inv6 - inv6).sum()
 
     def _gradient(self, q):
-        eps, sig = self.parameters["epsilon"], self.parameters["sigma"]
-        d = q.size
-        g = np.zeros(d)
-        for i in range(0, d, 3):
-            for j in range(i + 3, d, 3):
-                dx = q[i] - q[j]
-                dy = q[i + 1] - q[j + 1]
-                dz = q[i + 2] - q[j + 2]
-                r2 = dx * dx + dy * dy + dz * dz
-                if r2 == 0.0:
-                    return np.full(d, np.nan)
-                inv2 = sig * sig / r2
-                inv6 = inv2 * inv2 * inv2
-                c = -(24.0 * eps / r2) * (2.0 * inv6 * inv6 - inv6)  # u'(r)/r
-                g[i] += c * dx
-                g[i + 1] += c * dy
-                g[i + 2] += c * dz
-                g[j] -= c * dx
-                g[j + 1] -= c * dy
-                g[j + 2] -= c * dz
-        return g
+        """g_i = sum_j (u'(r_ij)/r_ij) (x_i - x_j)."""
+        D, r2, inv6 = self._pairs(q)
+        upr = (-24.0 * self.parameters["epsilon"] / r2) * (2.0 * inv6 * inv6 - inv6)
+        return (upr[:, :, None] * D).sum(axis=1).ravel()
 
     def _hessian(self, q):
         """Assembled from 3 x 3 pair blocks: pair (i, j) contributes

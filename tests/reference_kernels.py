@@ -1,8 +1,8 @@
 """Scalar-loop reference implementations of the library's array code.
 
-``lj_value_loop`` and ``lj_hessian_loop`` evaluate the Lennard-Jones value
-and Hessian pair by pair, and ``gauss_solve`` is Gaussian elimination with
-partial pivoting.  They are the loop forms that the ``lj-cluster`` model's
+``lj_value_loop``, ``lj_gradient_loop`` and ``lj_hessian_loop`` evaluate
+the Lennard-Jones value, gradient and Hessian pair by pair, and
+``gauss_solve`` is Gaussian elimination with partial pivoting.  They are the loop forms that the ``lj-cluster`` model's
 dense pair arrays and the Newton solver's LAPACK solve replaced; tests
 compare the library against them.
 """
@@ -27,6 +27,31 @@ def lj_value_loop(eps, sig, q):
             inv6 = inv2 * inv2 * inv2
             v += 4.0 * eps * (inv6 * inv6 - inv6)
     return v
+
+
+def lj_gradient_loop(eps, sig, q):
+    """Gradient of sum_{i<j} 4 eps [(sig/r)^12 - (sig/r)^6] at flat 3N
+    coordinates q; NaN-filled when two atoms coincide."""
+    d = q.size
+    g = np.zeros(d)
+    for i in range(0, d, 3):
+        for j in range(i + 3, d, 3):
+            dx = q[i] - q[j]
+            dy = q[i + 1] - q[j + 1]
+            dz = q[i + 2] - q[j + 2]
+            r2 = dx * dx + dy * dy + dz * dz
+            if r2 == 0.0:
+                return np.full(d, np.nan)
+            inv2 = sig * sig / r2
+            inv6 = inv2 * inv2 * inv2
+            c = -(24.0 * eps / r2) * (2.0 * inv6 * inv6 - inv6)  # u'(r)/r
+            g[i] += c * dx
+            g[i + 1] += c * dy
+            g[i + 2] += c * dz
+            g[j] -= c * dx
+            g[j + 1] -= c * dy
+            g[j + 2] -= c * dz
+    return g
 
 
 def lj_hessian_loop(eps, sig, q):

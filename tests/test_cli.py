@@ -87,6 +87,20 @@ def test_run_solver_failure_exit_2(tmp_path, capsys):
     assert lines[-1].startswith("# aborted at step")
 
 
+def test_run_singular_start_exit_2(tmp_path, capsys):
+    """A start at the Kepler singularity fails at step 1 like any other
+    solver failure: exit 2, and a CSV that ends in the abort line."""
+    out = tmp_path / "t.csv"
+    code = main(["run", "--model", "kepler", "--q0", "0,0", "--p0", "0,1",
+                 "--scheme", "s3-corrected", "--h", "0.1", "--t_end", "1",
+                 "--output", str(out)])
+    assert code == 2
+    assert "solver failure at step 1 (non_finite)" in capsys.readouterr().err
+    _, _, lines = read_csv(out)
+    assert lines[-1] == "# aborted at step 1"
+    assert os.listdir(tmp_path) == ["t.csv"]
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("model = kepler\nscheme = verlet\nh = 0.2\n"

@@ -160,6 +160,18 @@ def test_fixed_point_matches_newton(kepler):
     assert joint_distance(newton.state, fp.state) <= 1e-10
 
 
+@pytest.mark.parametrize("method", ["newton", "fixed_point"])
+def test_step_momentum_is_the_momentum_update(kepler, method):
+    """A step's p' equals s3_momentum_update at its x bit for bit, whether
+    the step reuses the residual's g(x) (Newton) or evaluates it (the
+    fixed-point map returns a point past its last residual)."""
+    s = ss.PhaseState(*ss.kepler_start(0.3))
+    for variant in S3_VARIANTS:
+        r = ss.s3_step(variant, kepler, s, 0.05, ss.SolverConfig(method=method))
+        npt.assert_array_equal(
+            r.state.p, ss.s3_momentum_update(variant, kepler, s.q, r.state.q, 0.05))
+
+
 def test_time_symmetry_single_step(kepler):
     """One step forward, then one step backward with -h, returns the start."""
     s = ss.PhaseState(*ss.kepler_start(0.3))
@@ -343,6 +355,45 @@ def test_integrate_matches_repeated_steps(case, variant):
         cur = ss.step(variant, model, cur, h).state
         npt.assert_array_equal(traj.q[i + 1], cur.q)
         npt.assert_array_equal(traj.p[i + 1], cur.p)
+
+
+def counting(base):
+    """A subclass of the model class base that counts the calls of its
+    gradient and Hessian hooks."""
+
+    class Counting(base):
+        n_gradient = n_hessian = 0
+
+        def _gradient(self, q):
+            self.n_gradient += 1
+            return super()._gradient(q)
+
+        def _hessian(self, q):
+            self.n_hessian += 1
+            return super()._hessian(q)
+
+    return Counting
+
+
+@pytest.mark.parametrize("variant", [str(v) for v in ALL_VARIANTS])
+@pytest.mark.parametrize("case", ["kepler", "lj8"])
+def test_evaluation_counts(case, variant):
+    """Velocity Verlet makes n + 1 gradient calls over n steps.  An implicit
+    step makes k + 1 gradient and k + 1 Hessian calls for k Newton
+    iterations: the momentum update reuses the residual's g(x)."""
+    from symstep.models import KeplerModel, LJClusterModel
+
+    _, s, h = engine_case(case)
+    if case == "kepler":
+        model, n = counting(KeplerModel)(), 100
+    else:
+        model, n = counting(LJClusterModel)(24, 1.0, 1.0), 10
+    traj = ss.integrate(model, variant, s, h, n)
+    assert not traj.failed
+    if variant == "verlet":
+        assert (model.n_gradient, model.n_hessian) == (n + 1, 0)
+    else:
+        assert model.n_gradient == model.n_hessian > n + 1
 
 
 def test_integrate_is_deterministic(kepler):

@@ -1,11 +1,12 @@
-"""The array LJ value and Hessian and the LAPACK solve against their
-scalar-loop references."""
+"""The array LJ value, gradient and Hessian and the LAPACK solve against
+their scalar-loop references."""
 
 import numpy as np
 import pytest
 
 import symstep as ss
-from reference_kernels import gauss_solve, lj_hessian_loop, lj_value_loop
+from reference_kernels import (gauss_solve, lj_gradient_loop, lj_hessian_loop,
+                               lj_value_loop)
 from test_acceptance import lj_lattice
 
 
@@ -23,11 +24,12 @@ def rel_err(a, ref):
 @pytest.mark.parametrize("n_atoms,seed", CLUSTERS)
 @pytest.mark.parametrize("eps,sig", [(1.0, 1.0), (0.7, 1.3)])
 def test_lj_hessian_matches_loop_reference(n_atoms, seed, eps, sig):
-    """The array value is checked on the same inputs."""
+    """The array value and gradient are checked on the same inputs."""
     model = ss.make_model("lj-cluster", dimension=3 * n_atoms,
                           epsilon=eps, sigma=sig)
     q = sig * lj_cluster(n_atoms, seed)
     for evaluate, reference in ((ss.potential_value, lj_value_loop),
+                                (ss.potential_gradient, lj_gradient_loop),
                                 (ss.potential_hessian, lj_hessian_loop)):
         assert rel_err(evaluate(model, q), reference(eps, sig, q)) <= 1e-13
 
