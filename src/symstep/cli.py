@@ -56,6 +56,11 @@ def _write_output(path, text):
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".symstep-")
     try:
         with os.fdopen(fd, "w") as f:
+            # mkstemp creates the file 0600 and the rename keeps that mode;
+            # give the output the mode a plain open() would
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(f.fileno(), 0o666 & ~umask)
             f.write(text)
         os.replace(tmp, target)
     except BaseException:

@@ -29,19 +29,24 @@ H = p^T M^{-1} p / 2 + V(q):
   flow of H; s3-printed is the corrected map applied to -V, so it conserves
   kinetic MINUS potential energy instead of H and is shipped as an
   executable witness of that sign behaviour (the diagnostics suite measures
-  it).  Newton on R converges in one iteration for quadratic potentials
-  since R is then affine.
+  it).
 
 Every model, built-in or custom, runs on one engine.  A scheme object built
 once per call (or per ``integrate`` run) holds the per-run constants and
 steps raw arrays through the model's ``_gradient``/``_hessian`` hooks; each
 implicit step solves through :func:`solve_newton` (or
-:func:`solve_fixed_point`).  The momentum update reuses the g(x) that the
-residual computed at the converged Newton iterate, and a trajectory reuses
-each step's end evaluations as the next step's start, so an implicit step
-makes k + 1 gradient and k + 1 Hessian evaluations for k Newton iterations.
-The public functions check the state and the hooks' output at the start
-state only.
+:func:`solve_fixed_point`).  By default that is simplified Newton: the
+Jacobian is frozen at J(a) = M/h + (h/12)(cb + cx) Hs(a) and inverted once
+per step, and the iteration starts at x = a, where R(a) = (h/12)(ca + cx)
+g(a) - p needs no new evaluation.  Its first update is exact when R is
+affine (quadratic potentials) and O(h^4) accurate otherwise, and it stops
+only once x is at round-off.  A step on which J(a) does not contract solves
+with full Newton from the Verlet predictor instead.  The momentum update
+reuses the g(x) that the residual computed at the last iterate, and a
+trajectory reuses each step's end evaluations as the next step's start, so
+an implicit step with k updates makes k gradient and 1 Hessian evaluation
+and one d x d inversion.  The public functions check the state and the
+hooks' output at the start state only.
 """
 
 import enum
@@ -52,8 +57,9 @@ from typing import Optional
 import numpy as np
 
 from .models import PhaseState, SingularityError, hamiltonian_energy
-from .solvers import (CAUSE_NON_FINITE, IDENTITY_REPORT, SolverConfig,
-                      SolverReport, solve_fixed_point, solve_newton)
+from .solvers import (CAUSE_MAX_ITERATIONS, CAUSE_NON_FINITE, IDENTITY_REPORT,
+                      SolverConfig, SolverReport, solve_fixed_point,
+                      solve_newton)
 
 
 class SchemeVariant(str, enum.Enum):
@@ -199,6 +205,7 @@ class _Implicit:
         self.mh = model.mass / h
         self.Mh = np.diag(self.mh)
         self.cca, self.ccx, self.ccb = c * ca, c * cx, c * cb
+        self._residual_at = None, None
 
     def start(self, q):
         return self.model.gradient(q), self.model.hessian(q)
@@ -230,24 +237,38 @@ class _Implicit:
         pn = (self.Mh + self.ccb * Hx).dot(x - a) - (self.ccx * ga + self.cca * gx)
         return pn, gx, Hx
 
+    def predictor(self, a, p, ga):
+        """The Verlet position a + (p - (h/2) g(a)) h / M."""
+        return a + (p - 0.5 * self.h * ga) / self.mh
+
     def advance(self, a, p, ev):
         ga, Ha = ev
         residual, jacobian = self.system(a, p, ga, Ha)
-        # the Verlet predictor keeps Newton in its quadratic basin at moderate h
-        x0 = a + (p - 0.5 * self.h * ga) / self.mh
         if self.cfg.method == "newton":
-            x, report = solve_newton(residual, jacobian, x0, self.cfg)
+            # simplified Newton from x = a with J(a) frozen (module docstring)
+            J = self.Mh + (self.ccb + self.ccx) * Ha
+            x, report = solve_newton(residual, J, a, self.cfg,
+                                     r0=(self.cca + self.ccx) * ga - p)
+            if not report.converged and report.cause != CAUSE_MAX_ITERATIONS:
+                # J(a) is too far from the Jacobian along this step: full
+                # Newton from the Verlet predictor
+                chord = report.iterations
+                x, report = solve_newton(residual, jacobian,
+                                         self.predictor(a, p, ga), self.cfg)
+                report = replace(report, iterations=chord + report.iterations)
         else:
             mh = self.mh
-            x, report = solve_fixed_point(lambda y: y - residual(y) / mh, x0, self.cfg)
+            x, report = solve_fixed_point(lambda y: y - residual(y) / mh,
+                                          self.predictor(a, p, ga), self.cfg)
         if not report.converged:
             raise StepError(
                 f"implicit step failed ({report.cause}) after {report.iterations} "
                 f"iterations, residual {report.final_residual_norm:.3e}", report)
         # Newton returns the iterate its last residual was evaluated at,
-        # so g(x) is known; the fixed-point map returns a later point
+        # so g(x) is known; the fixed-point map returns a later point, and
+        # a start that needs no update was never passed to the residual
         x_r, g_r = self._residual_at
-        self._residual_at = None
+        self._residual_at = None, None
         pn, gx, Hx = self.momentum(a, x, ga, g_r if x is x_r else None)
         if not _finite(pn):
             raise StepError("momentum update produced a non-finite value",
@@ -310,8 +331,8 @@ def step_action(variant, model, a, x, h):
 
 
 def s3_step(variant, model, s, h, solver_cfg=None):
-    """One implicit step: solve the position equation (Newton by default,
-    starting from the Verlet predictor), then update the momentum.
+    """One implicit step: solve the position equation (simplified Newton
+    from the start point by default), then update the momentum.
 
     Raises StepError carrying the SolverReport when the solve fails.
     """

@@ -1,8 +1,8 @@
 """Newton and fixed-point solvers for the per-step implicit equation.
 
-Both take closures (the residual and its Jacobian, or the fixed-point map)
-and are the only solve loops of the package: every implicit step, of every
-model, runs through one of them.
+Both take closures (the residual and its Jacobian, which may also be a
+fixed matrix, or the fixed-point map) and are the only solve loops of the
+package: every implicit step, of every model, runs through one of them.
 """
 
 import math
@@ -14,6 +14,7 @@ CAUSE_OK = ""
 CAUSE_MAX_ITERATIONS = "max_iterations"
 CAUSE_SINGULAR_JACOBIAN = "singular_jacobian"
 CAUSE_NON_FINITE = "non_finite"
+CAUSE_NO_CONTRACTION = "no_contraction"
 
 _METHODS = ("newton", "fixed_point")
 
@@ -48,47 +49,82 @@ def _norm(v):
     return float(abs(v).max()) if v.size else 0.0
 
 
-def solve_newton(residual, jacobian, x0, cfg):
+def solve_newton(residual, jacobian, x0, cfg, r0=None):
     """Newton iteration on R(x) = 0 with a dense direct linear solve.
 
-    Convergence means ||R(x)||_inf <= cfg.tolerance; iterations counts
-    accepted updates, so an x0 that already satisfies the tolerance reports
-    0 iterations.  On failure the lowest-residual iterate seen is returned,
-    with the cause recorded ("max_iterations", "singular_jacobian", or
-    "non_finite").
+    ``jacobian`` is either a callable J(x), evaluated and solved at every
+    iterate (Newton), or a fixed matrix, inverted once and applied at every
+    iterate (simplified Newton, the chord iteration).  ``r0``, when given,
+    is R(x0) and saves its evaluation.
+
+    Convergence means ||R(x)||_inf <= cfg.tolerance.  Newton converges
+    quadratically, so from there its next update is below round-off; the
+    chord iteration converges only linearly, so it also requires x to be at
+    round-off: the update that reached x is at most 16 ulp(1 + ||x||_inf),
+    or the next one, predicted from the observed contraction
+    theta = ||R(x)|| / ||R(x_prev)||, is at most a quarter of that ulp.  A
+    chord update above round-off with theta > 1/2 stops the iteration with
+    cause "no_contraction": the fixed matrix is too far from J(x) for the
+    iteration to reach round-off in the default 50 updates, if at all.
+
+    iterations counts accepted updates, so an x0 that already satisfies the
+    tolerance reports 0 iterations.  On failure the lowest-residual iterate
+    seen is returned, with the cause recorded ("max_iterations",
+    "singular_jacobian", "non_finite" or "no_contraction").
     """
     x = np.array(x0, dtype=np.float64, copy=True)
-    r = np.asarray(residual(x), dtype=np.float64)
+    r = np.asarray(residual(x) if r0 is None else r0, dtype=np.float64)
     # the norm is non-finite exactly when some entry of r is
     rnorm = _norm(r)
     if not math.isfinite(rnorm):
         return x, SolverReport(False, 0, np.inf, CAUSE_NON_FINITE)
     if rnorm <= cfg.tolerance:
         return x, SolverReport(True, 0, rnorm)
-    best_x = x.copy()
+    chord = not callable(jacobian)
+    if chord:
+        try:
+            minus_J_inv = -np.linalg.inv(jacobian)
+        except np.linalg.LinAlgError:
+            return x, SolverReport(False, 0, rnorm, CAUSE_SINGULAR_JACOBIAN)
+    # x is rebound, never written in place, so iterates need no copies
+    best_x = x
     best_norm = rnorm
     iters = 0
     cause = CAUSE_MAX_ITERATIONS
     for it in range(1, cfg.max_iterations + 1):
-        J = np.asarray(jacobian(x), dtype=np.float64)
-        try:
-            delta = np.linalg.solve(J, -r)
-        except np.linalg.LinAlgError:
-            cause = CAUSE_SINGULAR_JACOBIAN
-            break
+        if chord:
+            delta = minus_J_inv.dot(r)
+        else:
+            try:
+                J = np.asarray(jacobian(x), dtype=np.float64)
+                delta = np.linalg.solve(J, -r)
+            except np.linalg.LinAlgError:
+                cause = CAUSE_SINGULAR_JACOBIAN
+                break
         x = x + delta
+        iters = it
         r = np.asarray(residual(x), dtype=np.float64)
-        rnorm = _norm(r)
+        rnorm, prev_norm = _norm(r), rnorm
         if not math.isfinite(rnorm):
             cause = CAUSE_NON_FINITE
-            iters = it
             break
         if rnorm < best_norm:
             best_norm = rnorm
-            best_x = x.copy()
-        if rnorm <= cfg.tolerance:
+            best_x = x
+        within = rnorm <= cfg.tolerance
+        if within and not chord:
             return x, SolverReport(True, it, rnorm)
-        iters = it
+        contracting = rnorm <= 0.5 * prev_norm
+        if chord and (within or not contracting):
+            ulp = math.ulp(1.0 + _norm(x))
+            dnorm = _norm(delta)
+            at_roundoff = (dnorm <= 16.0 * ulp
+                           or rnorm * dnorm <= 0.25 * ulp * prev_norm)
+            if within and at_roundoff:
+                return x, SolverReport(True, it, rnorm)
+            if not (contracting or at_roundoff):
+                cause = CAUSE_NO_CONTRACTION
+                break
     return best_x, SolverReport(False, iters, best_norm, cause)
 
 

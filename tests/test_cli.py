@@ -1,6 +1,7 @@
 """Command line: argument handling, CSV output, exit codes."""
 
 import os
+import stat
 import subprocess
 import sys
 
@@ -99,6 +100,23 @@ def test_run_singular_start_exit_2(tmp_path, capsys):
     _, _, lines = read_csv(out)
     assert lines[-1] == "# aborted at step 1"
     assert os.listdir(tmp_path) == ["t.csv"]
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask022", "umask077"])
+def test_output_mode_follows_umask(tmp_path, umask, mode):
+    """The output CSV gets the mode a plain open() gives under the umask,
+    not the temporary file's 0600."""
+    out = tmp_path / "t.csv"
+    old = os.umask(umask)
+    try:
+        code = main(["run", "--model", "harmonic", "--scheme", "verlet",
+                     "--h", "0.1", "--t_end", "1", "--q0", "1", "--p0", "0",
+                     "--output", str(out)])
+    finally:
+        os.umask(old)
+    assert code == 0
+    assert stat.S_IMODE(os.stat(out).st_mode) == mode
 
 
 def test_config_file_with_flag_override(tmp_path):

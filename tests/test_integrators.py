@@ -220,6 +220,26 @@ def test_zero_jacobian_reports_singular_jacobian():
     assert traj.failure.cause == "singular_jacobian"
 
 
+def test_chord_without_contraction_falls_back_to_full_newton(kepler):
+    """From perihelion at e = 0.9 the Hessian changes so much over a step of
+    h = 0.05 that the chord on J(a) diverges.  The step then solves with
+    full Newton from the Verlet predictor, and equals that solve."""
+    s = ss.PhaseState(*ss.kepler_start(0.9))
+    h = 0.05
+    residual, jacobian = ss.build_step_system("s3-corrected", kepler, s, h)
+    x0 = s.q + (s.p - 0.5 * h * kepler.gradient(s.q)) / (kepler.mass / h)
+    J_a = jacobian(s.q)
+    _, chord = ss.solve_newton(residual, J_a, s.q, ss.SolverConfig())
+    assert chord.cause == "no_contraction"
+    x, full = ss.solve_newton(residual, jacobian, x0, ss.SolverConfig())
+    r = ss.step("s3-corrected", kepler, s, h)
+    assert r.solver.converged
+    assert r.solver.iterations == chord.iterations + full.iterations
+    npt.assert_array_equal(r.state.q, x)
+    npt.assert_array_equal(
+        r.state.p, ss.s3_momentum_update("s3-corrected", kepler, s.q, x, h))
+
+
 def test_step_into_singularity_raises(kepler):
     # momentum tuned so the position update lands exactly on the origin:
     # x = q + h (p - (h/2) g(q)) with g((1,0)) = (1,0)
@@ -379,11 +399,13 @@ def counting(base):
 @pytest.mark.parametrize("case", ["kepler", "lj8"])
 def test_evaluation_counts(case, variant):
     """Velocity Verlet makes n + 1 gradient calls over n steps.  An implicit
-    step makes k + 1 gradient and k + 1 Hessian calls for k Newton
-    iterations: the momentum update reuses the residual's g(x)."""
+    step makes one Hessian call and one gradient call per simplified Newton
+    update: R(a) reuses g(a), the frozen Jacobian reuses Hs(a), and the
+    momentum update reuses the residual's g(x).  Over n steps that is n + 1
+    Hessian and 1 + (sum of the steps' iterations) gradient calls."""
     from symstep.models import KeplerModel, LJClusterModel
 
-    _, s, h = engine_case(case)
+    plain, s, h = engine_case(case)
     if case == "kepler":
         model, n = counting(KeplerModel)(), 100
     else:
@@ -392,8 +414,90 @@ def test_evaluation_counts(case, variant):
     assert not traj.failed
     if variant == "verlet":
         assert (model.n_gradient, model.n_hessian) == (n + 1, 0)
-    else:
-        assert model.n_gradient == model.n_hessian > n + 1
+        return
+    # integrate equals a loop of step bit for bit, so the loop's reports
+    # are integrate's
+    iterations = [ss.step(variant, plain, ss.PhaseState(traj.q[i], traj.p[i]),
+                          h).solver.iterations for i in range(n)]
+    assert min(iterations) >= 1
+    assert model.n_hessian == n + 1
+    assert model.n_gradient == 1 + sum(iterations)
+
+
+def agreement_case(name, rng):
+    """(model, state, h, reference tolerance) for a seeded random state.
+    The reference tolerance is the tightest that full Newton attains there:
+    it stops as soon as the residual is below it, so its x is only that
+    accurate."""
+    from test_acceptance import kepler_ring_state, lj_lattice
+
+    if name == "kepler":
+        return ss.make_model("kepler"), kepler_ring_state(rng), 0.05, 1e-14
+    if name == "lj8":
+        return (ss.make_model("lj-cluster", dimension=24),
+                ss.PhaseState(lj_lattice(rng, 8, jitter=0.05),
+                              rng.normal(scale=0.3, size=24)), 0.005, 1e-13)
+    return (ss.make_model("harmonic", dimension=3, omega=1.3,
+                          mass=rng.uniform(0.5, 2.0, size=3)),
+            ss.PhaseState(rng.normal(size=3), rng.normal(size=3)), 0.1, 1e-14)
+
+
+@pytest.mark.parametrize("case", ["kepler", "lj8", "harmonic"])
+def test_chord_step_matches_full_newton(case):
+    """A step (simplified Newton from the start point) agrees with full
+    Newton on the build_step_system closures, started from the Verlet
+    predictor, plus s3_momentum_update: both solve the same equation to
+    round-off."""
+    rng = np.random.default_rng(17)
+    worst = 0.0
+    for _ in range(20):
+        model, s, h, tol = agreement_case(case, rng)
+        for variant in S3_VARIANTS:
+            r = ss.step(variant, model, s, h)
+            residual, jacobian = ss.build_step_system(variant, model, s, h)
+            x0 = s.q + h * (s.p - 0.5 * h * model.gradient(s.q)) / model.mass
+            x, report = ss.solve_newton(residual, jacobian, x0,
+                                        ss.SolverConfig(tolerance=tol))
+            assert report.converged
+            p = ss.s3_momentum_update(variant, model, s.q, x, h)
+            for new, ref in ((r.state.q, x), (r.state.p, p)):
+                worst = max(worst, np.max(np.abs(new - ref)
+                                          / np.maximum(1.0, np.abs(ref))))
+    assert worst <= 1e-13
+
+
+def transfer_matrix(variant, h):
+    """The one-step map of the unit oscillator (omega = m = 1) as a 2 x 2
+    matrix, from its images of (1, 0) and (0, 1)."""
+    model = ss.make_model("harmonic", dimension=1, omega=1.0)
+    cols = [ss.step(variant, model, ss.PhaseState([q], [p]), h).state
+            for q, p in ((1.0, 0.0), (0.0, 1.0))]
+    return np.array([[c.q[0] for c in cols], [c.p[0] for c in cols]])
+
+
+@pytest.mark.parametrize("variant, z_star", [
+    ("verlet", 2.0),
+    ("s3-corrected", 2.0 * np.sqrt(3.0)),
+    ("s3-generating", np.sqrt(12.0 / 5.0)),
+])
+def test_stability_interval_edge(variant, z_star):
+    """On the oscillator each step is linear with det 1 (symplectic), so it
+    is stable exactly while |trace|/2 < 1.  The trace is 2A with
+    A = (1 + z^2 (cb - ca)/12) / (1 + z^2 (cb + cx)/12), z = h omega, which
+    puts the edge at z* = 2 for Verlet, 2 sqrt(3) for s3-corrected and
+    sqrt(12/5) for s3-generating (narrower than Verlet's)."""
+    for z, stable in ((z_star * (1 - 1e-9), True), (z_star * (1 + 1e-9), False)):
+        T = transfer_matrix(variant, z)
+        assert abs(np.linalg.det(T) - 1.0) <= 1e-12
+        assert (abs(np.trace(T)) / 2 < 1) == stable, z
+
+
+@pytest.mark.parametrize("h", [0.01, 0.1, 1.0])
+def test_stability_printed_unstable(h):
+    """s3-printed is the corrected map on -V: hyperbolic at every h."""
+    T = transfer_matrix("s3-printed", h)
+    assert abs(np.linalg.det(T) - 1.0) <= 1e-12
+    assert abs(np.trace(T)) / 2 > 1
 
 
 def test_integrate_is_deterministic(kepler):

@@ -5,8 +5,8 @@ import numpy.testing as npt
 import pytest
 
 import symstep as ss
-from symstep.solvers import (CAUSE_MAX_ITERATIONS, CAUSE_NON_FINITE,
-                             CAUSE_SINGULAR_JACOBIAN)
+from symstep.solvers import (CAUSE_MAX_ITERATIONS, CAUSE_NO_CONTRACTION,
+                             CAUSE_NON_FINITE, CAUSE_SINGULAR_JACOBIAN)
 
 
 def scalar_problem(f, df):
@@ -109,6 +109,61 @@ def test_newton_vector_system():
     assert report.converged
     assert report.iterations == 1
     npt.assert_allclose(A @ x, b, rtol=0, atol=1e-14)
+
+
+# ------------------------------------------------- chord (fixed Jacobian)
+
+def test_chord_linear_one_update():
+    A = np.array([[4.0, 1.0], [1.0, 3.0]])
+    b = np.array([1.0, 2.0])
+    x, report = ss.solve_newton(lambda x: A @ x - b, A, np.zeros(2),
+                                ss.SolverConfig())
+    assert report.converged
+    assert report.iterations == 1
+    npt.assert_allclose(A @ x, b, rtol=0, atol=1e-14)
+
+
+def test_chord_given_start_residual_is_not_evaluated():
+    seen = []
+
+    def residual(x):
+        seen.append(x[0])
+        return np.array([2.0 * x[0] - 4.0])
+
+    x, report = ss.solve_newton(residual, np.array([[2.0]]), np.array([0.0]),
+                                ss.SolverConfig(), r0=np.array([-4.0]))
+    assert report.converged
+    assert seen == [2.0]
+
+
+def test_chord_iterates_past_the_tolerance_to_round_off():
+    """x^2 = 4 with the derivative frozen at x0 = 3 contracts by about 1/3
+    per update.  The residual test alone could stop up to 2.5e-11 from the
+    root; the chord goes on until its update is within 16 ulp of 1 + |x|."""
+    x, report = ss.solve_newton(lambda x: np.array([x[0] ** 2 - 4.0]),
+                                np.array([[6.0]]), np.array([3.0]),
+                                ss.SolverConfig(tolerance=1e-10))
+    assert report.converged
+    assert abs(x[0] - 2.0) <= 16 * np.spacing(3.0)
+
+
+def test_chord_without_contraction_stops_early():
+    # the frozen derivative has the wrong sign: every update moves away
+    x, report = ss.solve_newton(lambda x: np.array([x[0] ** 2 - 4.0]),
+                                np.array([[-6.0]]), np.array([3.0]),
+                                ss.SolverConfig())
+    assert not report.converged
+    assert report.cause == CAUSE_NO_CONTRACTION
+    assert report.iterations == 1
+    assert x[0] == 3.0  # the lowest-residual iterate
+
+
+def test_chord_singular_matrix_reported():
+    x, report = ss.solve_newton(lambda x: x + 1.0, np.zeros((1, 1)),
+                                np.array([0.0]), ss.SolverConfig())
+    assert not report.converged
+    assert report.cause == CAUSE_SINGULAR_JACOBIAN
+    assert report.iterations == 0
 
 
 # -------------------------------------------------------------- fixed point
