@@ -18,8 +18,7 @@ from .models import (DerivativeReport, EnergyValue, PhaseState,
                      PotentialModel, SingularityError, hamiltonian_energy,
                      make_model, potential_gradient, potential_hessian,
                      potential_value, validate_derivatives)
-from .solvers import (SolverConfig, SolverReport, solve_fixed_point,
-                      solve_newton)
+from .solvers import SolverConfig, SolverReport, solve_newton
 
 __version__ = "0.1.0"
 
@@ -58,7 +57,6 @@ __all__ = [
     "reversibility_error",
     "s3_momentum_update",
     "s3_step",
-    "solve_fixed_point",
     "solve_newton",
     "step",
     "step_action",

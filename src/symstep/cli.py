@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import (ConfigError, build_config, parse_lines, resolve)
+from .config import KEYS, ConfigError, build_config, parse_lines, resolve
 from .diagnostics import (analytic_reference, angular_momentum_series,
                           convergence_order, energy_drift, energy_series,
                           reversibility_error, symplecticity_defect)
@@ -26,12 +26,6 @@ EXIT_USAGE = 1
 EXIT_SOLVER = 2
 EXIT_IO = 3
 EXIT_DIAGNOSTIC = 4
-
-_FLAG_KEYS = ("model", "scheme", "h", "t_end", "q0", "p0", "ecc",
-              "record_stride", "tolerance", "max_iterations", "output",
-              "steps", "omega", "epsilon", "sigma", "mass", "fd_step",
-              "fd_eps")
-
 
 class _UsageError(Exception):
     pass
@@ -299,7 +293,7 @@ def _build_parser():
         p = sub.add_parser(name, help=doc)
         p.set_defaults(fn=fn)
         p.add_argument("--config", help="config file of key = value lines")
-        for key in _FLAG_KEYS:
+        for key in KEYS:
             p.add_argument(f"--{key}", dest=f"opt_{key}", metavar="V")
     return parser
 
@@ -322,7 +316,7 @@ def main(argv=None):
                       file=sys.stderr)
                 return EXIT_IO
             mapping = parse_lines(text)
-        for key in _FLAG_KEYS:
+        for key in KEYS:
             value = getattr(args, f"opt_{key}")
             if value is not None:
                 mapping[key] = (value, None)

@@ -7,7 +7,8 @@ itself defaults scheme to s3-corrected for programmatic construction, but
 the text format requires the key spelled out.
 """
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -26,9 +27,6 @@ class ConfigError(ValueError):
 
 
 _REQUIRED = ("model", "scheme", "h", "t_end")
-_KNOWN = _REQUIRED + ("q0", "p0", "ecc", "record_stride", "tolerance",
-                      "max_iterations", "output", "steps", "omega", "epsilon",
-                      "sigma", "mass", "fd_step", "fd_eps")
 
 
 @dataclass(frozen=True)
@@ -53,6 +51,11 @@ class ExperimentConfig:
     fd_eps: float = 1e-6
 
 
+# every config key, required ones first; each is also a CLI flag
+KEYS = _REQUIRED + tuple(f.name for f in fields(ExperimentConfig)
+                         if f.name not in _REQUIRED)
+
+
 def parse_lines(text):
     """Parse config text into an ordered {key: (raw_value, line_number)} map."""
     mapping = {}
@@ -65,7 +68,7 @@ def parse_lines(text):
         key, _, raw = body.partition("=")
         key = key.strip()
         raw = raw.strip()
-        if key not in _KNOWN:
+        if key not in KEYS:
             raise ConfigError(f"unknown key {key!r}", no)
         if key in mapping:
             raise ConfigError(f"duplicate key {key!r}", no)
@@ -77,9 +80,12 @@ def parse_lines(text):
 
 def _float(key, raw, line):
     try:
-        return float(raw)
+        v = float(raw)
     except ValueError:
         raise ConfigError(f"{key}: malformed number {raw!r}", line) from None
+    if not math.isfinite(v):
+        raise ConfigError(f"{key}: non-finite number {raw!r}", line)
+    return v
 
 
 def _int(key, raw, line):
@@ -91,10 +97,13 @@ def _int(key, raw, line):
 
 def _vector(key, raw, line):
     try:
-        return tuple(float(part) for part in raw.split(","))
+        v = tuple(float(part) for part in raw.split(","))
     except ValueError:
         raise ConfigError(f"{key}: malformed vector {raw!r} "
                           "(expected comma-separated numbers)", line) from None
+    if not all(map(math.isfinite, v)):
+        raise ConfigError(f"{key}: non-finite entry in {raw!r}", line)
+    return v
 
 
 def build_config(mapping) -> ExperimentConfig:

@@ -34,8 +34,7 @@ H = p^T M^{-1} p / 2 + V(q):
 Every model, built-in or custom, runs on one engine.  A scheme object built
 once per call (or per ``integrate`` run) holds the per-run constants and
 steps raw arrays through the model's ``_gradient``/``_hessian`` hooks; each
-implicit step solves through :func:`solve_newton` (or
-:func:`solve_fixed_point`).  By default that is simplified Newton: the
+implicit step solves through :func:`solve_newton`, by simplified Newton: the
 Jacobian is frozen at J(a) = M/h + (h/12)(cb + cx) Hs(a) and inverted once
 per step, and the iteration starts at x = a, where R(a) = (h/12)(ca + cx)
 g(a) - p needs no new evaluation.  Its first update is exact when R is
@@ -58,8 +57,7 @@ import numpy as np
 
 from .models import PhaseState, SingularityError, hamiltonian_energy
 from .solvers import (CAUSE_MAX_ITERATIONS, CAUSE_NON_FINITE, IDENTITY_REPORT,
-                      SolverConfig, SolverReport, solve_fixed_point,
-                      solve_newton)
+                      SolverConfig, SolverReport, solve_newton)
 
 
 class SchemeVariant(str, enum.Enum):
@@ -244,29 +242,24 @@ class _Implicit:
     def advance(self, a, p, ev):
         ga, Ha = ev
         residual, jacobian = self.system(a, p, ga, Ha)
-        if self.cfg.method == "newton":
-            # simplified Newton from x = a with J(a) frozen (module docstring)
-            J = self.Mh + (self.ccb + self.ccx) * Ha
-            x, report = solve_newton(residual, J, a, self.cfg,
-                                     r0=(self.cca + self.ccx) * ga - p)
-            if not report.converged and report.cause != CAUSE_MAX_ITERATIONS:
-                # J(a) is too far from the Jacobian along this step: full
-                # Newton from the Verlet predictor
-                chord = report.iterations
-                x, report = solve_newton(residual, jacobian,
-                                         self.predictor(a, p, ga), self.cfg)
-                report = replace(report, iterations=chord + report.iterations)
-        else:
-            mh = self.mh
-            x, report = solve_fixed_point(lambda y: y - residual(y) / mh,
-                                          self.predictor(a, p, ga), self.cfg)
+        # simplified Newton from x = a with J(a) frozen (module docstring)
+        J = self.Mh + (self.ccb + self.ccx) * Ha
+        x, report = solve_newton(residual, J, a, self.cfg,
+                                 r0=(self.cca + self.ccx) * ga - p)
+        if not report.converged and report.cause != CAUSE_MAX_ITERATIONS:
+            # J(a) is too far from the Jacobian along this step: full
+            # Newton from the Verlet predictor
+            chord = report.iterations
+            x, report = solve_newton(residual, jacobian,
+                                     self.predictor(a, p, ga), self.cfg)
+            report = replace(report, iterations=chord + report.iterations)
         if not report.converged:
             raise StepError(
                 f"implicit step failed ({report.cause}) after {report.iterations} "
                 f"iterations, residual {report.final_residual_norm:.3e}", report)
         # Newton returns the iterate its last residual was evaluated at,
-        # so g(x) is known; the fixed-point map returns a later point, and
-        # a start that needs no update was never passed to the residual
+        # so g(x) is known, except for a start x = a that needs no update:
+        # its residual came from r0 and never reached the closure
         x_r, g_r = self._residual_at
         self._residual_at = None, None
         pn, gx, Hx = self.momentum(a, x, ga, g_r if x is x_r else None)
@@ -332,7 +325,8 @@ def step_action(variant, model, a, x, h):
 
 def s3_step(variant, model, s, h, solver_cfg=None):
     """One implicit step: solve the position equation (simplified Newton
-    from the start point by default), then update the momentum.
+    from the start point, full Newton as the fallback), then update the
+    momentum.
 
     Raises StepError carrying the SolverReport when the solve fails.
     """

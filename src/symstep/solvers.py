@@ -1,8 +1,8 @@
-"""Newton and fixed-point solvers for the per-step implicit equation.
+"""The Newton solver for the per-step implicit equation.
 
-Both take closures (the residual and its Jacobian, which may also be a
-fixed matrix, or the fixed-point map) and are the only solve loops of the
-package: every implicit step, of every model, runs through one of them.
+It takes closures (the residual and its Jacobian, which may also be a
+fixed matrix) and is the one solve loop of the package: every implicit
+step, of every model, runs through it.
 """
 
 import math
@@ -16,22 +16,17 @@ CAUSE_SINGULAR_JACOBIAN = "singular_jacobian"
 CAUSE_NON_FINITE = "non_finite"
 CAUSE_NO_CONTRACTION = "no_contraction"
 
-_METHODS = ("newton", "fixed_point")
-
 
 @dataclass(frozen=True)
 class SolverConfig:
     tolerance: float = 1e-13
     max_iterations: int = 50
-    method: str = "newton"
 
     def __post_init__(self):
         if not (self.tolerance > 0):
             raise ValueError("tolerance must be > 0")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.method not in _METHODS:
-            raise ValueError(f"method must be one of {_METHODS}, got {self.method!r}")
 
 
 @dataclass(frozen=True)
@@ -126,34 +121,3 @@ def solve_newton(residual, jacobian, x0, cfg, r0=None):
                 cause = CAUSE_NO_CONTRACTION
                 break
     return best_x, SolverReport(False, iters, best_norm, cause)
-
-
-def solve_fixed_point(map_fn, x0, cfg):
-    """Fixed-point iteration x <- map_fn(x).
-
-    Converges when the step norm ||map_fn(x) - x||_inf drops to the
-    tolerance; the check runs before the first update, so a fixed point of
-    the map reports 0 iterations.  final_residual_norm is the last step
-    norm.  Non-convergence returns the smallest-step iterate seen.
-    """
-    x = np.array(x0, dtype=np.float64, copy=True)
-    best_x = x.copy()
-    best_norm = np.inf
-    iters = 0
-    for it in range(cfg.max_iterations + 1):
-        fx = np.asarray(map_fn(x), dtype=np.float64)
-        if not np.all(np.isfinite(fx)):
-            return best_x if np.isfinite(best_norm) else x, SolverReport(
-                False, iters, best_norm if np.isfinite(best_norm) else np.inf,
-                CAUSE_NON_FINITE)
-        step = _norm(fx - x)
-        if step < best_norm:
-            best_norm = step
-            best_x = x.copy()
-        if step <= cfg.tolerance:
-            return fx, SolverReport(True, iters, step)
-        if it == cfg.max_iterations:
-            break
-        x = fx
-        iters = it + 1
-    return best_x, SolverReport(False, iters, best_norm, CAUSE_MAX_ITERATIONS)

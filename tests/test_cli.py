@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+import symstep
 from symstep.cli import main
 
 RUN_ARGS = ["run", "--model", "kepler", "--scheme", "verlet",
@@ -232,6 +233,17 @@ def test_usage_error_exit_1(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("args", [
+    ["--model", "harmonic", "--q0", "nan", "--p0", "0", "--t_end", "1"],
+    ["--model", "kepler", "--t_end", "inf"],
+])
+def test_non_finite_flag_exit_1(capsys, args):
+    assert main(["run", "--h", "0.1", "--scheme", "verlet"] + args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("symstep: ") and err.count("\n") == 1
+    assert "non-finite" in err
+
+
 def test_unreadable_config_exit_3(capsys):
     assert main(["run", "--config", "/does/not/exist.cfg"]) == 3
     assert "cannot read" in capsys.readouterr().err
@@ -247,11 +259,15 @@ def test_unwritable_output_exit_3(capsys):
 
 def test_entry_point_subprocess():
     """The installed console script behaves like main()."""
+    # the child imports the symstep this process imported, installed or not
+    src = os.path.dirname(os.path.dirname(symstep.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "symstep.cli", "bogus"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 1
+    assert proc.stderr.startswith("symstep: ")
 
-    env = dict(os.environ)
     proc = subprocess.run(
         [sys.executable, "-m", "symstep.cli", "run", "--model", "free",
          "--scheme", "verlet", "--h", "0.5", "--t_end", "1",

@@ -49,6 +49,16 @@ def test_unknown_key_reports_line_number():
         ss.parse_config("model = kepler\nbogus = 1\n")
 
 
+@pytest.mark.parametrize("line", ["t_end = inf", "omega = nan",
+                                  "q0 = nan, 0", "steps = 0.1, inf"])
+def test_non_finite_number_reports_line_number(line):
+    key = line.split()[0]
+    rest = [ln for ln in ("model = harmonic", "scheme = verlet", "h = 0.1",
+                          "t_end = 1") if not ln.startswith(key + " ")]
+    with pytest.raises(ss.ConfigError, match="line 2: .*non-finite"):
+        ss.parse_config("\n".join(rest[:1] + [line] + rest[1:]))
+
+
 def test_duplicate_key_rejected():
     with pytest.raises(ss.ConfigError, match="duplicate"):
         parse_lines("h = 0.1\nh = 0.2\n")

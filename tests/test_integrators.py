@@ -151,23 +151,12 @@ def test_newton_converges_in_one_iteration_on_quadratic(harmonic):
     assert r.solver.iterations <= 1
 
 
-def test_fixed_point_matches_newton(kepler):
-    s = ss.PhaseState([1.0, 0.0], [0.0, 1.0])
-    newton = ss.s3_step("s3-corrected", kepler, s, 0.01)
-    fp = ss.s3_step("s3-corrected", kepler, s, 0.01,
-                    ss.SolverConfig(method="fixed_point", tolerance=1e-15,
-                                    max_iterations=200))
-    assert joint_distance(newton.state, fp.state) <= 1e-10
-
-
-@pytest.mark.parametrize("method", ["newton", "fixed_point"])
-def test_step_momentum_is_the_momentum_update(kepler, method):
-    """A step's p' equals s3_momentum_update at its x bit for bit, whether
-    the step reuses the residual's g(x) (Newton) or evaluates it (the
-    fixed-point map returns a point past its last residual)."""
+def test_step_momentum_is_the_momentum_update(kepler):
+    """A step's p' equals s3_momentum_update at its x bit for bit, although
+    the step reuses the g(x) its residual computed at the last iterate."""
     s = ss.PhaseState(*ss.kepler_start(0.3))
     for variant in S3_VARIANTS:
-        r = ss.s3_step(variant, kepler, s, 0.05, ss.SolverConfig(method=method))
+        r = ss.s3_step(variant, kepler, s, 0.05)
         npt.assert_array_equal(
             r.state.p, ss.s3_momentum_update(variant, kepler, s.q, r.state.q, 0.05))
 

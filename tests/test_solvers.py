@@ -1,4 +1,4 @@
-"""Newton and fixed-point solvers on scalar and vector problems."""
+"""The Newton solver on scalar and vector problems."""
 
 import numpy as np
 import numpy.testing as npt
@@ -21,7 +21,6 @@ def test_config_defaults():
     cfg = ss.SolverConfig()
     assert cfg.tolerance == 1e-13
     assert cfg.max_iterations == 50
-    assert cfg.method == "newton"
 
 
 def test_config_validation():
@@ -29,8 +28,9 @@ def test_config_validation():
         ss.SolverConfig(tolerance=0.0)
     with pytest.raises(ValueError):
         ss.SolverConfig(max_iterations=0)
-    with pytest.raises(ValueError):
-        ss.SolverConfig(method="bisection")
+    # there is one solve path; code that still selects one fails loudly
+    with pytest.raises(TypeError):
+        ss.SolverConfig(method="fixed_point")
 
 
 # ------------------------------------------------------------------- newton
@@ -164,36 +164,3 @@ def test_chord_singular_matrix_reported():
     assert not report.converged
     assert report.cause == CAUSE_SINGULAR_JACOBIAN
     assert report.iterations == 0
-
-
-# -------------------------------------------------------------- fixed point
-
-def test_fixed_point_identity_map():
-    x, report = ss.solve_fixed_point(lambda x: x, np.array([0.4]),
-                                     ss.SolverConfig(method="fixed_point"))
-    assert report.converged
-    assert report.iterations == 0
-    assert x[0] == 0.4
-
-
-def test_fixed_point_contraction():
-    x, report = ss.solve_fixed_point(lambda x: x / 2 + 1, np.array([0.0]),
-                                     ss.SolverConfig(method="fixed_point",
-                                                     tolerance=1e-10))
-    assert report.converged
-    assert abs(x[0] - 2.0) <= 1e-9
-
-
-def test_fixed_point_divergent_map_gives_up():
-    cfg = ss.SolverConfig(method="fixed_point", max_iterations=20)
-    x, report = ss.solve_fixed_point(lambda x: 2 * x + 1, np.array([0.0]), cfg)
-    assert not report.converged
-    assert report.cause == CAUSE_MAX_ITERATIONS
-    assert report.iterations == 20
-
-
-def test_fixed_point_non_finite_map():
-    cfg = ss.SolverConfig(method="fixed_point")
-    x, report = ss.solve_fixed_point(lambda x: x * np.inf, np.array([1.0]), cfg)
-    assert not report.converged
-    assert report.cause == CAUSE_NON_FINITE
