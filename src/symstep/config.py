@@ -208,7 +208,11 @@ def resolve(cfg: ExperimentConfig):
     """
     model = resolve_model(cfg)
     s0 = resolve_initial_state(cfg, model)
-    n_steps = int(np.floor(cfg.t_end / cfg.h + 0.5))
+    span = cfg.t_end / cfg.h
+    if not math.isfinite(span):
+        raise ConfigError(f"t_end={cfg.t_end} spans too many steps to count "
+                          f"at h={cfg.h}")
+    n_steps = int(np.floor(span + 0.5))
     if n_steps < 1:
         raise ConfigError(f"t_end={cfg.t_end} spans no steps at h={cfg.h}")
     if n_steps % cfg.record_stride != 0:

@@ -36,16 +36,19 @@ once per call (or per ``integrate`` run) holds the per-run constants and
 steps raw arrays through the model's ``_gradient``/``_hessian`` hooks; each
 implicit step solves through :func:`solve_newton`, by simplified Newton: the
 Jacobian is frozen at J(a) = M/h + (h/12)(cb + cx) Hs(a) and inverted once
-per step, and the iteration starts at x = a, where R(a) = (h/12)(ca + cx)
-g(a) - p needs no new evaluation.  Its first update is exact when R is
-affine (quadratic potentials) and O(h^4) accurate otherwise, and it stops
-only once x is at round-off.  A step on which J(a) does not contract solves
-with full Newton from the Verlet predictor instead.  The momentum update
-reuses the g(x) that the residual computed at the last iterate, and a
-trajectory reuses each step's end evaluations as the next step's start, so
-an implicit step with k updates makes k gradient and 1 Hessian evaluation
-and one d x d inversion.  The public functions check the state and the
-hooks' output at the start state only.
+per step (by LAPACK, or by one Jacobi-Neumann term when J(a) is of order
+>= 16 and diagonally dominant), and the iteration starts at x = a, where
+R(a) = (h/12)(ca + cx) g(a) - p needs no new evaluation.  Its first update
+is exact when R is affine (quadratic potentials) and O(h^4) accurate
+otherwise, and it stops only once x is at round-off.  A step on which J(a)
+does not contract solves with full Newton from the Verlet predictor
+instead; a step whose residual stalls at its round-off floor above the
+tolerance fails at once, since full Newton would meet the same floor.  The
+momentum update reuses the g(x) that the residual computed at the last
+iterate, and a trajectory reuses each step's end evaluations as the next
+step's start, so an implicit step with k updates makes k gradient and 1
+Hessian evaluation and one inversion of J(a).  The public functions check
+the state and the hooks' output at the start state only.
 """
 
 import enum
@@ -56,8 +59,9 @@ from typing import Optional
 import numpy as np
 
 from .models import PhaseState, SingularityError, hamiltonian_energy
-from .solvers import (CAUSE_MAX_ITERATIONS, CAUSE_NON_FINITE, IDENTITY_REPORT,
-                      SolverConfig, SolverReport, solve_newton)
+from .solvers import (CAUSE_MAX_ITERATIONS, CAUSE_NON_FINITE,
+                      CAUSE_RESIDUAL_FLOOR, IDENTITY_REPORT, SolverConfig,
+                      SolverReport, solve_newton)
 
 
 class SchemeVariant(str, enum.Enum):
@@ -246,7 +250,8 @@ class _Implicit:
         J = self.Mh + (self.ccb + self.ccx) * Ha
         x, report = solve_newton(residual, J, a, self.cfg,
                                  r0=(self.cca + self.ccx) * ga - p)
-        if not report.converged and report.cause != CAUSE_MAX_ITERATIONS:
+        if not report.converged and report.cause not in (
+                CAUSE_MAX_ITERATIONS, CAUSE_RESIDUAL_FLOOR):
             # J(a) is too far from the Jacobian along this step: full
             # Newton from the Verlet predictor
             chord = report.iterations

@@ -103,6 +103,23 @@ def test_run_singular_start_exit_2(tmp_path, capsys):
     assert os.listdir(tmp_path) == ["t.csv"]
 
 
+def test_run_residual_floor_exit_2(tmp_path, capsys):
+    """An LJ(16) run whose residual floor lies above the tolerance aborts
+    at step 2 with the cause in the message."""
+    from test_integrators import lj16_floor_case
+
+    s, h = lj16_floor_case()
+    out = tmp_path / "t.csv"
+    code = main(["run", "--model", "lj-cluster", "--scheme", "s3-corrected",
+                 "--q0=" + ",".join(map(repr, s.q.tolist())),
+                 "--p0=" + ",".join(map(repr, s.p.tolist())),
+                 "--h", str(h), "--t_end", "0.02", "--output", str(out)])
+    assert code == 2
+    assert "solver failure at step 2 (residual_floor)" in capsys.readouterr().err
+    _, _, lines = read_csv(out)
+    assert lines[-1] == "# aborted at step 2"
+
+
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
                          ids=["umask022", "umask077"])
 def test_output_mode_follows_umask(tmp_path, umask, mode):
@@ -242,6 +259,14 @@ def test_non_finite_flag_exit_1(capsys, args):
     err = capsys.readouterr().err
     assert err.startswith("symstep: ") and err.count("\n") == 1
     assert "non-finite" in err
+
+
+def test_step_count_overflow_exit_1(capsys):
+    assert main(["run", "--model", "kepler", "--scheme", "verlet",
+                 "--h", "1e-10", "--t_end", "1e300"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("symstep: ") and err.count("\n") == 1
+    assert "too many steps" in err
 
 
 def test_unreadable_config_exit_3(capsys):

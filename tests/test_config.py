@@ -139,6 +139,15 @@ def test_resolve_rejects_non_dividing_stride():
         resolve(cfg)
 
 
+def test_resolve_rejects_step_count_overflow():
+    """t_end/h overflows to inf; the count is a ConfigError, not an
+    OverflowError from int()."""
+    cfg = ss.parse_config("model = kepler\nscheme = verlet\nh = 1e-10\n"
+                          "t_end = 1e300\n")
+    with pytest.raises(ss.ConfigError, match="too many steps"):
+        resolve(cfg)
+
+
 def test_resolve_harmonic_with_explicit_state():
     cfg = ss.parse_config("model = harmonic\nscheme = s3-corrected\nh = 0.1\n"
                           "t_end = 1\nq0 = 1\np0 = 0\nomega = 2.0\n")

@@ -5,6 +5,7 @@ import numpy.testing as npt
 import pytest
 
 import symstep as ss
+from symstep.solvers import CAUSE_RESIDUAL_FLOOR
 
 S3_VARIANTS = [ss.SchemeVariant.S3_PRINTED, ss.SchemeVariant.S3_GENERATING,
                ss.SchemeVariant.S3_CORRECTED]
@@ -149,6 +150,22 @@ def test_newton_converges_in_one_iteration_on_quadratic(harmonic):
     r = ss.s3_step("s3-corrected", harmonic, ss.PhaseState([1.0], [0.0]), 0.1)
     assert r.solver.converged
     assert r.solver.iterations <= 1
+    # d = 24 with random masses: the diagonal J(a) is inverted without
+    # LAPACK, and the first update still meets the tolerance.  The step may
+    # make a second update at round-off, which only passes the stop rule's
+    # round-off test (LAPACK's inverse needs it too).
+    rng = np.random.default_rng(8)
+    wide = ss.make_model("harmonic", dimension=24, omega=1.3,
+                         mass=rng.uniform(0.5, 2.0, size=24))
+    s = ss.PhaseState(rng.normal(size=24), rng.normal(size=24))
+    residual, _ = ss.build_step_system("s3-corrected", wide, s, 0.1)
+    J = np.diag(wide.mass / 0.1 + (0.1 / 6) * 1.3 ** 2)
+    _, first = ss.solve_newton(residual, J, s.q, ss.SolverConfig(max_iterations=1))
+    assert first.iterations == 1
+    assert first.final_residual_norm <= ss.SolverConfig().tolerance
+    r = ss.s3_step("s3-corrected", wide, s, 0.1)
+    assert r.solver.converged
+    assert r.solver.iterations <= 2
 
 
 def test_step_momentum_is_the_momentum_update(kepler):
@@ -411,6 +428,38 @@ def test_evaluation_counts(case, variant):
     assert min(iterations) >= 1
     assert model.n_hessian == n + 1
     assert model.n_gradient == 1 + sum(iterations)
+
+
+def lj16_floor_case():
+    """LJ(16) at h = 0.002 from a jittered 2 x 2 x 4 lattice with thermal
+    momenta (kT = 0.05): the absolute default tolerance lies below the
+    residual's round-off floor there, and step 2 fails."""
+    idx = np.arange(16)
+    sites = np.stack([idx % 2, (idx // 2) % 2, idx // 4], axis=1) * 2.0 ** (1 / 6)
+    rng = np.random.default_rng([2016, 0])
+    q = sites + rng.normal(scale=0.02, size=sites.shape)
+    p = rng.normal(size=sites.shape)
+    p -= p.mean(axis=0)
+    p *= np.sqrt(0.05 * 3 * 15 / np.sum(p * p))
+    return ss.PhaseState(q.ravel(), p.ravel()), 0.002
+
+
+def test_step_at_the_residual_floor_fails_without_fallback():
+    """A chord stuck at its round-off floor above the tolerance stops with
+    cause residual_floor after a few updates.  Full Newton would meet the
+    same floor, so the step makes no fallback: the failing step evaluates
+    no Hessian."""
+    from symstep.models import LJClusterModel
+
+    s, h = lj16_floor_case()
+    model = counting(LJClusterModel)(48, 1.0, 1.0)
+    traj = ss.integrate(model, "s3-corrected", s, h, 10)
+    assert traj.failed_step == 2
+    assert traj.failure.cause == CAUSE_RESIDUAL_FLOOR
+    assert traj.failure.iterations <= 6
+    assert traj.failure.final_residual_norm > ss.SolverConfig().tolerance
+    # one Hessian at the start, one at the end of step 1
+    assert model.n_hessian == 2
 
 
 def agreement_case(name, rng):

@@ -1,12 +1,16 @@
 """The Newton solver on scalar and vector problems."""
 
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 import symstep as ss
+from symstep import solvers
 from symstep.solvers import (CAUSE_MAX_ITERATIONS, CAUSE_NO_CONTRACTION,
-                             CAUSE_NON_FINITE, CAUSE_SINGULAR_JACOBIAN)
+                             CAUSE_NON_FINITE, CAUSE_RESIDUAL_FLOOR,
+                             CAUSE_SINGULAR_JACOBIAN)
 
 
 def scalar_problem(f, df):
@@ -162,5 +166,61 @@ def test_chord_singular_matrix_reported():
     x, report = ss.solve_newton(lambda x: x + 1.0, np.zeros((1, 1)),
                                 np.array([0.0]), ss.SolverConfig())
     assert not report.converged
+    assert report.cause == CAUSE_SINGULAR_JACOBIAN
+    assert report.iterations == 0
+
+
+def test_chord_stops_at_the_residual_floor():
+    """1000 (x^2 - 2) has no float root: at the two floats next to sqrt(2)
+    it reads +-4.4e-13, above the tolerance.  Once the updates are at
+    round-off the chord stops there instead of running out its updates."""
+    x, report = ss.solve_newton(lambda x: 1e3 * (x * x - 2.0),
+                                np.array([[3e3]]), np.array([1.5]),
+                                ss.SolverConfig())
+    assert not report.converged
+    assert report.cause == CAUSE_RESIDUAL_FLOOR
+    assert report.iterations <= 15
+    assert report.final_residual_norm == pytest.approx(4.44e-13, rel=1e-2)
+    assert abs(x[0] - np.sqrt(2.0)) <= np.spacing(np.sqrt(2.0))
+
+
+# ------------------------------- chord inverse of large dominant matrices
+
+def test_neumann_inverse_gives_the_exact_inverse_solution(monkeypatch):
+    """On a d = 24 dominant SPD Jacobian the one-term Neumann inverse takes
+    as many chord updates as LAPACK's inverse, to the same x within 1e-15
+    relative."""
+    rng = np.random.default_rng(3)
+    B = rng.normal(scale=0.02, size=(24, 24))
+    J = 200.0 * np.eye(24) + (B + B.T) / 2   # ||D^-1 O||_inf ~ 2e-3
+    b = 10.0 * rng.normal(size=24)
+    residual = lambda x: J @ x + 5.0 * x ** 3 - b   # R'(0) = J
+    # the defining identity I - K J = (D^-1 O)^2
+    K = -solvers._minus_inverse(J)
+    D_inv_O = (J - np.diag(J.diagonal())) / J.diagonal()[:, None]
+    npt.assert_allclose(np.eye(24) - K @ J, D_inv_O @ D_inv_O, rtol=0, atol=1e-15)
+    x, report = ss.solve_newton(residual, J, np.zeros(24), ss.SolverConfig())
+    monkeypatch.setattr(solvers, "NEUMANN_MIN_D", 10 ** 9)
+    x_inv, report_inv = ss.solve_newton(residual, J, np.zeros(24),
+                                        ss.SolverConfig())
+    assert report.converged and report_inv.converged
+    assert report.iterations == report_inv.iterations
+    assert np.abs(x - x_inv).max() <= 1e-15 * np.abs(x_inv).max()
+
+
+def test_non_dominant_matrix_keeps_the_lapack_inverse():
+    rng = np.random.default_rng(5)
+    B = rng.normal(size=(24, 24))
+    J = B @ B.T + np.eye(24)   # SPD, far from diagonally dominant
+    npt.assert_array_equal(solvers._minus_inverse(J), -np.linalg.inv(J))
+
+
+def test_zero_diagonal_at_neumann_size_is_singular():
+    dg = np.ones(24)
+    dg[7] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x, report = ss.solve_newton(lambda x: x + 1.0, np.diag(dg),
+                                    np.zeros(24), ss.SolverConfig())
     assert report.cause == CAUSE_SINGULAR_JACOBIAN
     assert report.iterations == 0
