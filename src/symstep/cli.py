@@ -85,10 +85,20 @@ def _trajectory_csv(traj, model):
     return "\n".join(lines) + "\n"
 
 
+def _integrate(cfg, model, variant, s0, n_steps, solver):
+    """integrate at the config's h and record stride; a run that integrate
+    refuses, such as one with too many records to allocate, is a
+    ConfigError."""
+    try:
+        return integrate(model, variant, s0, cfg.h, n_steps,
+                         record_stride=cfg.record_stride, solver_cfg=solver)
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
+
+
 def cmd_run(cfg):
     model, s0, n_steps, solver = resolve(cfg)
-    traj = integrate(model, cfg.scheme, s0, cfg.h, n_steps,
-                     record_stride=cfg.record_stride, solver_cfg=solver)
+    traj = _integrate(cfg, model, cfg.scheme, s0, n_steps, solver)
     text = _trajectory_csv(traj, model)
     try:
         _write_output(cfg.output, text)
@@ -144,8 +154,7 @@ def cmd_compare(cfg):
     drifts, revs, secs = [], [], []
     for variant in variants:
         t0 = time.perf_counter()
-        traj = integrate(model, variant, s0, cfg.h, n_steps,
-                         record_stride=cfg.record_stride, solver_cfg=solver)
+        traj = _integrate(cfg, model, variant, s0, n_steps, solver)
         if traj.failed:
             print(f"symstep: {variant} failed at step {traj.failed_step}",
                   file=sys.stderr)
@@ -247,8 +256,7 @@ def cmd_check(cfg):
             lambda: symplecticity_defect(cfg.scheme, model, s0, cfg.h,
                                          fd_eps=cfg.fd_eps, solver_cfg=solver))
 
-    traj = integrate(model, cfg.scheme, s0, cfg.h, n_steps,
-                     record_stride=cfg.record_stride, solver_cfg=solver)
+    traj = _integrate(cfg, model, cfg.scheme, s0, n_steps, solver)
     if traj.failed:
         note = f"solver failure at step {traj.failed_step}"
         record("energy-bounded", None, 1.5, False, note)

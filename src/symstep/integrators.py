@@ -194,7 +194,9 @@ class _Verlet:
 class _Implicit:
     """One s3 variant on one model at step h.  It holds the per-run
     constants M/h, diag(M/h) and (h/12)(ca, cx, cb), and its ``ev`` is
-    (g, Hs) at the start state (see :class:`_Verlet`).  Within a step, the
+    (g, Hs, J0 = M/h + (h/12) cb Hs) at the start state (see
+    :class:`_Verlet`): the momentum update forms J0 at x, and the next step
+    reuses it in R and in J(a) = J0 + (h/12) cx Hs(a).  Within a step, the
     residual keeps its last (x, g(x)) in ``_residual_at`` for the momentum
     update."""
 
@@ -210,13 +212,13 @@ class _Implicit:
         self._residual_at = None, None
 
     def start(self, q):
-        return self.model.gradient(q), self.model.hessian(q)
+        g, H = self.model.gradient(q), self.model.hessian(q)
+        return g, H, self.Mh + self.ccb * H
 
-    def system(self, a, p, ga, Ha):
+    def system(self, a, p, ga, J0):
         """Residual and Jacobian of the position equation,
         R(x) = J0 (x - a) + (h/12) cx g(x) + (h/12) ca g(a) - p with
         J0 = M/h + (h/12) cb Hs(a)."""
-        J0 = self.Mh + self.ccb * Ha
         base = self.cca * ga - p
         ccx, model = self.ccx, self.model
 
@@ -231,23 +233,25 @@ class _Implicit:
         return residual, jacobian
 
     def momentum(self, a, x, ga, gx=None):
-        """p' with g(x) and Hs(x); it evaluates Hs(x), and g(x) when not
+        """p' and the evaluations (g, Hs, M/h + (h/12) cb Hs) at x, which
+        are the next step's start; it evaluates Hs(x), and g(x) when not
         given."""
         if gx is None:
             gx = self.model._gradient(x)
         Hx = self.model._hessian(x)
-        pn = (self.Mh + self.ccb * Hx).dot(x - a) - (self.ccx * ga + self.cca * gx)
-        return pn, gx, Hx
+        J0 = self.Mh + self.ccb * Hx
+        pn = J0.dot(x - a) - (self.ccx * ga + self.cca * gx)
+        return pn, (gx, Hx, J0)
 
     def predictor(self, a, p, ga):
         """The Verlet position a + (p - (h/2) g(a)) h / M."""
         return a + (p - 0.5 * self.h * ga) / self.mh
 
     def advance(self, a, p, ev):
-        ga, Ha = ev
-        residual, jacobian = self.system(a, p, ga, Ha)
+        ga, Ha, J0 = ev
+        residual, jacobian = self.system(a, p, ga, J0)
         # simplified Newton from x = a with J(a) frozen (module docstring)
-        J = self.Mh + (self.ccb + self.ccx) * Ha
+        J = J0 + self.ccx * Ha
         x, report = solve_newton(residual, J, a, self.cfg,
                                  r0=(self.cca + self.ccx) * ga - p)
         if not report.converged and report.cause not in (
@@ -267,11 +271,11 @@ class _Implicit:
         # its residual came from r0 and never reached the closure
         x_r, g_r = self._residual_at
         self._residual_at = None, None
-        pn, gx, Hx = self.momentum(a, x, ga, g_r if x is x_r else None)
+        pn, ev = self.momentum(a, x, ga, g_r if x is x_r else None)
         if not _finite(pn):
             raise StepError("momentum update produced a non-finite value",
                             replace(report, converged=False, cause=CAUSE_NON_FINITE))
-        return x, pn, (gx, Hx), report
+        return x, pn, ev, report
 
 
 def _scheme(variant, model, h, cfg):
@@ -297,7 +301,8 @@ def build_step_system(variant, model, s, h):
     as closures over the frozen step data (start state, g(a), Hs(a))."""
     scheme = _Implicit(_require_s3(variant), model, _check_h(h))
     _check_state(model, s)
-    return scheme.system(s.q, s.p, *scheme.start(s.q))
+    ga, _, J0 = scheme.start(s.q)
+    return scheme.system(s.q, s.p, ga, J0)
 
 
 def s3_momentum_update(variant, model, a, x, h):
@@ -351,7 +356,8 @@ def integrate(model, variant, s0, h, n_steps, record_stride=1, solver_cfg=None):
     state and every record_stride-th state.
 
     n_steps must be a positive multiple of record_stride so records stay
-    uniformly spaced.  h may be negative (backward integration).  On a step
+    uniformly spaced; a record buffer too large to allocate is a ValueError.
+    h may be negative (backward integration).  On a step
     failure the partial trajectory is returned with failed=True and the
     1-based index of the failing step; no exception is raised here.  A
     singular start fails at step 1 and has no initial_energy (None).
@@ -367,9 +373,15 @@ def integrate(model, variant, s0, h, n_steps, record_stride=1, solver_cfg=None):
         raise ValueError("record_stride must be >= 1")
     if n_steps % record_stride != 0:
         raise ValueError("n_steps must be a multiple of record_stride")
+    n_records = n_steps // record_stride + 1
+    try:
+        Q = np.empty((n_records, model.dimension))
+        P = np.empty_like(Q)
+    except (ValueError, MemoryError):
+        # numpy refuses such a shape, or its allocation, without allocating
+        raise ValueError(f"{n_records} records of dimension {model.dimension} "
+                         "are too many to allocate") from None
     scheme = _scheme(variant, model, h, solver_cfg)
-    Q = np.empty((n_steps // record_stride + 1, model.dimension))
-    P = np.empty_like(Q)
     q, p = s0.q, s0.p
     Q[0], P[0] = q, p
     rec, k, e0, failure = 0, 1, None, None

@@ -27,8 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_I3 = np.eye(3)
-
 
 class SingularityError(ValueError):
     """Potential evaluated at (or through) a singular configuration."""
@@ -225,55 +223,84 @@ class KeplerModel(PotentialModel):
 
 class LJClusterModel(PotentialModel):
     """V = sum_{i<j} 4 eps [(sig/r_ij)^12 - (sig/r_ij)^6] over N atoms at
-    flat 3N coordinates.  The value, the gradient and the Hessian are
-    evaluated over the same dense (N, N) pair arrays."""
+    flat 3N coordinates.  The value, the gradient and the Hessian work on
+    the N(N-1)/2 pairs i < j, through gather and scatter indices built
+    once.  The pair terms of the last configuration are kept, keyed by its
+    bytes, so V, grad V and the Hessian at one configuration cost one pair
+    pass."""
 
     def __init__(self, dimension, epsilon, sigma, mass=None):
         super().__init__("lj-cluster", dimension, mass=mass,
                          parameters={"epsilon": epsilon, "sigma": sigma})
+        self._eps, self._sig2 = epsilon, sigma * sigma
+        d = self.dimension
+        n = d // 3
+        i, j = self._i, self._j = np.triu_indices(n, 1)
+        c = np.arange(3)[:, None]
+        # pair terms are component-major: D[a, k] and B[a, b, k] for pair k
+        self._gi, self._gj = (3 * i + c).ravel(), (3 * j + c).ravel()
+        c9 = n * np.arange(9)[:, None]
+        self._bi, self._bj = (i + c9).ravel(), (j + c9).ravel()
 
-    def _pairs(self, q):
-        """Separations D[i, j] = x_i - x_j, r^2 and (sig/r)^6 per pair.
-        Self pairs get r^2 = inf, which makes every term of theirs
-        exactly zero; coincident atoms get r^2 = NaN, which their terms
-        carry into every result."""
-        n = q.size // 3
-        X = q.reshape(n, 3)
-        D = X[:, None, :] - X[None, :, :]
-        r2 = (D * D).sum(axis=2)
-        r2[r2 == 0.0] = np.nan
-        r2.flat[::n + 1] = np.inf
-        sig = self.parameters["sigma"]
-        inv2 = sig * sig / r2
-        return D, r2, inv2 * inv2 * inv2
+        def block(r, s):  # flat (d, d) indices of the 3 x 3 blocks (r, s)
+            return ((3 * r + c[:, None]) * d + 3 * s + c).ravel()
+
+        self._hdiag = block(np.arange(n), np.arange(n))
+        self._hij, self._hji = block(i, j), block(j, i)
+        self._key = None
+
+    def _pair_terms(self, q):
+        """Separations D = x_i - x_j as a (3, pairs) array, then r^2,
+        (sig/r)^6, (sig/r)^12, 24 eps/r^2 and u'(r)/r per pair.  Coincident
+        atoms get r^2 = NaN, which their terms carry into every result."""
+        X = q.reshape(-1, 3).T
+        D = X.take(self._i, axis=1) - X.take(self._j, axis=1)
+        D2 = D * D
+        r2 = D2[0] + D2[1] + D2[2]
+        if not r2.all():
+            r2[r2 == 0.0] = np.nan
+        inv2 = self._sig2 / r2
+        inv6 = inv2 * inv2 * inv2
+        inv12 = inv6 * inv6
+        k = 24.0 * self._eps / r2
+        return D, r2, inv6, inv12, k, -k * (2.0 * inv12 - inv6)
+
+    def _terms(self, q):
+        """The pair terms at q, kept for the last configuration."""
+        key = q.tobytes()
+        if key != self._key:
+            self._memo = self._pair_terms(q)
+            self._key = key
+        return self._memo
 
     def _value(self, q):
-        inv6 = self._pairs(q)[2]
-        # each pair appears twice in the dense arrays
-        return 2.0 * self.parameters["epsilon"] * (inv6 * inv6 - inv6).sum()
+        _, _, inv6, inv12, _, _ = self._terms(q)
+        return 4.0 * self._eps * (inv12 - inv6).sum()
 
     def _gradient(self, q):
         """g_i = sum_j (u'(r_ij)/r_ij) (x_i - x_j)."""
-        D, r2, inv6 = self._pairs(q)
-        upr = (-24.0 * self.parameters["epsilon"] / r2) * (2.0 * inv6 * inv6 - inv6)
-        return (upr[:, :, None] * D).sum(axis=1).ravel()
+        D, _, _, _, _, upr = self._terms(q)
+        F = (upr * D).ravel()
+        d = self.dimension
+        return np.bincount(self._gi, F, d) - np.bincount(self._gj, F, d)
 
     def _hessian(self, q):
         """Assembled from 3 x 3 pair blocks: pair (i, j) contributes
         B_ij = u'' rr^T/r^2 + (u'/r)(I - rr^T/r^2) to the diagonal blocks
         (i, i), (j, j) and -B_ij to (i, j), (j, i)."""
-        D, r2, inv6 = self._pairs(q)
-        d = q.size
-        n = d // 3
-        inv12 = inv6 * inv6
-        k = 24.0 * self.parameters["epsilon"] / r2
-        upr = -k * (2.0 * inv12 - inv6)        # u'(r)/r
+        D, r2, inv6, inv12, k, upr = self._terms(q)
         upp = k * (26.0 * inv12 - 7.0 * inv6)  # u''(r)
-        B = (((upp - upr) / r2)[:, :, None, None] * D[:, :, :, None] * D[:, :, None, :]
-             + upr[:, :, None, None] * _I3)
-        H = -B
-        H[range(n), range(n)] = B.sum(axis=1)
-        return H.transpose(0, 2, 1, 3).reshape(d, d)
+        B = D[:, None] * D  # rr^T, symmetric bit for bit
+        B *= (upp - upr) / r2
+        B.reshape(9, -1)[::4] += upr
+        B = B.ravel()
+        d = self.dimension
+        H = np.zeros(d * d)
+        H[self._hdiag] = np.bincount(self._bi, B, 3 * d) + np.bincount(self._bj, B, 3 * d)
+        B = -B
+        H[self._hij] = B
+        H[self._hji] = B
+        return H.reshape(d, d)
 
 
 def make_model(name, dimension=None, mass=None, **parameters):

@@ -2,9 +2,10 @@
 
 ``lj_value_loop``, ``lj_gradient_loop`` and ``lj_hessian_loop`` evaluate
 the Lennard-Jones value, gradient and Hessian pair by pair, and
-``gauss_solve`` is Gaussian elimination with partial pivoting.  They are the loop forms that the ``lj-cluster`` model's
-dense pair arrays and the Newton solver's LAPACK solve replaced; tests
-compare the library against them.
+``gauss_solve`` is Gaussian elimination with partial pivoting.  They are
+the loop forms that the ``lj-cluster`` model's pair-list kernels and the
+Newton solver's LAPACK solve replaced; tests compare the library against
+them.
 """
 
 import numpy as np

@@ -269,6 +269,16 @@ def test_step_count_overflow_exit_1(capsys):
     assert "too many steps" in err
 
 
+def test_too_many_records_exit_1(capsys):
+    """1e21 steps pass the step count check, but their records cannot be
+    allocated: a one-line config error, not a traceback."""
+    assert main(["run", "--model", "kepler", "--scheme", "verlet",
+                 "--h", "0.1", "--t_end", "1e20"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("symstep: ") and err.count("\n") == 1
+    assert "records of dimension 2 are too many to allocate" in err
+
+
 def test_unreadable_config_exit_3(capsys):
     assert main(["run", "--config", "/does/not/exist.cfg"]) == 3
     assert "cannot read" in capsys.readouterr().err

@@ -5,6 +5,7 @@ import numpy.testing as npt
 import pytest
 
 import symstep as ss
+from symstep.models import LJClusterModel
 from symstep.solvers import CAUSE_RESIDUAL_FLOOR
 
 S3_VARIANTS = [ss.SchemeVariant.S3_PRINTED, ss.SchemeVariant.S3_GENERATING,
@@ -409,7 +410,7 @@ def test_evaluation_counts(case, variant):
     update: R(a) reuses g(a), the frozen Jacobian reuses Hs(a), and the
     momentum update reuses the residual's g(x).  Over n steps that is n + 1
     Hessian and 1 + (sum of the steps' iterations) gradient calls."""
-    from symstep.models import KeplerModel, LJClusterModel
+    from symstep.models import KeplerModel
 
     plain, s, h = engine_case(case)
     if case == "kepler":
@@ -428,6 +429,46 @@ def test_evaluation_counts(case, variant):
     assert min(iterations) >= 1
     assert model.n_hessian == n + 1
     assert model.n_gradient == 1 + sum(iterations)
+
+
+class CountingPairs(LJClusterModel):
+    """Counts the LJ pair passes, that is the pair-term computations, not
+    the evaluations that reuse them."""
+
+    n_pairs = 0
+
+    def _pair_terms(self, q):
+        self.n_pairs += 1
+        return super()._pair_terms(q)
+
+
+@pytest.mark.parametrize("variant", ["verlet", "s3-corrected"])
+def test_one_pair_pass_per_configuration(variant):
+    """V, grad V and the Hessian at one configuration share one pair pass.
+    integrate evaluates V, g and Hs at the start and, in an implicit step,
+    g at each update's iterate and Hs at the last: over n steps that is
+    1 + (sum of the steps' iterations) passes, and n + 1 for Verlet."""
+    plain, s, h = engine_case("lj8")
+    model, n = CountingPairs(24, 1.0, 1.0), 10
+    traj = ss.integrate(model, variant, s, h, n)
+    assert not traj.failed
+    if variant == "verlet":
+        assert model.n_pairs == n + 1
+        return
+    iterations = [ss.step(variant, plain, ss.PhaseState(traj.q[i], traj.p[i]),
+                          h).solver.iterations for i in range(n)]
+    assert min(iterations) >= 1
+    assert model.n_pairs == 1 + sum(iterations)
+
+
+def test_integrate_rejects_too_many_records():
+    """A record buffer that numpy cannot allocate is a one-line ValueError
+    naming the record count, raised before any step; numpy refuses this
+    shape without allocating it."""
+    model, s, h = engine_case("kepler")
+    with pytest.raises(ValueError, match=r"^1000000000000000000001 records ") as err:
+        ss.integrate(model, "verlet", s, 0.1, 10**21)
+    assert "\n" not in str(err.value)
 
 
 def lj16_floor_case():
@@ -449,8 +490,6 @@ def test_step_at_the_residual_floor_fails_without_fallback():
     cause residual_floor after a few updates.  Full Newton would meet the
     same floor, so the step makes no fallback: the failing step evaluates
     no Hessian."""
-    from symstep.models import LJClusterModel
-
     s, h = lj16_floor_case()
     model = counting(LJClusterModel)(48, 1.0, 1.0)
     traj = ss.integrate(model, "s3-corrected", s, h, 10)

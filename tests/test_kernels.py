@@ -1,7 +1,8 @@
 """The array LJ value, gradient and Hessian and the LAPACK solve against
-their scalar-loop references."""
+their scalar-loop references, and the LJ model's memo of pair terms."""
 
 import numpy as np
+import numpy.testing as npt
 import pytest
 
 import symstep as ss
@@ -15,13 +16,14 @@ def lj_cluster(n_atoms, seed):
 
 
 CLUSTERS = [(n, seed) for n in (2, 8, 16) for seed in (0, 1, 2)]
+KERNEL_CLUSTERS = CLUSTERS + [(64, seed) for seed in (0, 1, 2)]
 
 
 def rel_err(a, ref):
     return np.max(np.abs(a - ref)) / np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("n_atoms,seed", CLUSTERS)
+@pytest.mark.parametrize("n_atoms,seed", KERNEL_CLUSTERS)
 @pytest.mark.parametrize("eps,sig", [(1.0, 1.0), (0.7, 1.3)])
 def test_lj_hessian_matches_loop_reference(n_atoms, seed, eps, sig):
     """The array value and gradient are checked on the same inputs."""
@@ -42,6 +44,58 @@ def test_lj_hessian_coincident_atoms_is_singular():
     for evaluate in (model.value, model.gradient, model.hessian):
         with pytest.raises(ss.SingularityError):
             evaluate(q)
+
+
+def evaluations(model, q):
+    return model.value(q), model.gradient(q), model.hessian(q)
+
+
+def assert_same_evaluations(got, want):
+    assert got[0] == want[0]
+    npt.assert_array_equal(got[1], want[1])
+    npt.assert_array_equal(got[2], want[2])
+
+
+def test_lj_memo_sees_a_configuration_changed_in_place():
+    """The pair terms are keyed by the configuration's bytes, not by the
+    array: a caller's buffer changed in place gives a fresh evaluation."""
+    model = ss.make_model("lj-cluster", dimension=24)
+    q = lj_cluster(8, 0)
+    evaluations(model, q)
+    q[4] += 0.1
+    fresh = ss.make_model("lj-cluster", dimension=24)
+    assert_same_evaluations(evaluations(model, q), evaluations(fresh, q.copy()))
+
+
+def test_lj_memo_alternating_configurations():
+    """Alternating two configurations never returns the other's terms."""
+    model = ss.make_model("lj-cluster", dimension=48)
+    qa, qb = lj_cluster(16, 0), lj_cluster(16, 1)
+    want = {k: evaluations(ss.make_model("lj-cluster", dimension=48), q)
+            for k, q in (("a", qa), ("b", qb))}
+    for _ in range(3):
+        for k, q in (("a", qa), ("b", qb)):
+            for evaluate, i in ((model.value, 0), (model.gradient, 1),
+                                (model.hessian, 2)):
+                npt.assert_array_equal(evaluate(q), want[k][i])
+                # a different configuration in between each evaluation
+                model.value(qb if k == "a" else qa)
+
+
+def test_lj_memo_keeps_singularities():
+    """After the memo holds a regular cluster, coincident atoms still raise
+    from every evaluation, whether or not the memo holds them."""
+    model = ss.make_model("lj-cluster", dimension=24)
+    q = lj_cluster(8, 0)
+    bad = q.copy()
+    bad[9:12] = bad[0:3]
+    for evaluate in (model.value, model.gradient, model.hessian):
+        model.hessian(q)
+        with pytest.raises(ss.SingularityError):
+            evaluate(bad)
+    for evaluate in (model.value, model.gradient, model.hessian):
+        with pytest.raises(ss.SingularityError):
+            evaluate(bad)
 
 
 @pytest.mark.parametrize("n_atoms,seed", CLUSTERS)
