@@ -249,6 +249,10 @@ def cmd_check(cfg):
         record("gradient-fd", None, 1e-6, False, f"{type(err).__name__}: {err}")
         record("hessian-fd", None, 1e-6, False, f"{type(err).__name__}: {err}")
 
+    # the energy rows' run goes first: one with too many records to allocate
+    # then ends the check at once, before the reversibility legs (which
+    # record two states) integrate all of its steps
+    traj = _integrate(cfg, model, cfg.scheme, s0, n_steps, solver)
     guarded("reversibility", 10.0 * n_steps * cfg.tolerance,
             lambda: reversibility_error(cfg.scheme, model, s0, cfg.h, n_steps,
                                         solver_cfg=solver))
@@ -256,7 +260,6 @@ def cmd_check(cfg):
             lambda: symplecticity_defect(cfg.scheme, model, s0, cfg.h,
                                          fd_eps=cfg.fd_eps, solver_cfg=solver))
 
-    traj = _integrate(cfg, model, cfg.scheme, s0, n_steps, solver)
     if traj.failed:
         note = f"solver failure at step {traj.failed_step}"
         record("energy-bounded", None, 1.5, False, note)

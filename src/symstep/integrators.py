@@ -34,20 +34,20 @@ H = p^T M^{-1} p / 2 + V(q):
 Every model, built-in or custom, runs on one engine.  A scheme object built
 once per call (or per ``integrate`` run) holds the per-run constants and
 steps raw arrays through the model's ``_gradient``/``_hessian`` hooks; each
-implicit step solves through :func:`solve_newton`, by simplified Newton: the
-Jacobian is frozen at J(a) = M/h + (h/12)(cb + cx) Hs(a) and inverted once
-per step (by LAPACK, or by one Jacobi-Neumann term when J(a) is of order
->= 16 and diagonally dominant), and the iteration starts at x = a, where
-R(a) = (h/12)(ca + cx) g(a) - p needs no new evaluation.  Its first update
+implicit step solves through :func:`solve_newton`.  It starts at x = a,
+where R(a) = (h/12)(ca + cx) g(a) - p needs no new evaluation, with
+J(a) = M/h + (h/12)(cb + cx) Hs(a) inverted once (by LAPACK, or by one
+Jacobi-Neumann term when J(a) is of order >= 16 and diagonally dominant)
+and kept while the residual at least halves per update.  Its first update
 is exact when R is affine (quadratic potentials) and O(h^4) accurate
-otherwise, and it stops only once x is at round-off.  A step on which J(a)
-does not contract solves with full Newton from the Verlet predictor
-instead; a step whose residual stalls at its round-off floor above the
-tolerance fails at once, since full Newton would meet the same floor.  The
-momentum update reuses the g(x) that the residual computed at the last
+otherwise, and it stops only once x is at round-off.  An update that does
+not halve the residual re-inverts J at the iterate it reached; a step whose
+residual stalls at its round-off floor above the tolerance fails at once.
+The momentum update reuses the g(x) that the residual computed at the last
 iterate, and a trajectory reuses each step's end evaluations as the next
-step's start, so an implicit step with k updates makes k gradient and 1
-Hessian evaluation and one inversion of J(a).  The public functions check
+step's start, so an implicit step with k updates and no refresh makes k
+gradient and 1 Hessian evaluation and one inversion of J(a); each refresh
+adds one Hessian evaluation and one inversion.  The public functions check
 the state and the hooks' output at the start state only.
 """
 
@@ -59,8 +59,7 @@ from typing import Optional
 import numpy as np
 
 from .models import PhaseState, SingularityError, hamiltonian_energy
-from .solvers import (CAUSE_MAX_ITERATIONS, CAUSE_NON_FINITE,
-                      CAUSE_RESIDUAL_FLOOR, IDENTITY_REPORT, SolverConfig,
+from .solvers import (CAUSE_NON_FINITE, IDENTITY_REPORT, SolverConfig,
                       SolverReport, solve_newton)
 
 
@@ -193,7 +192,7 @@ class _Verlet:
 
 class _Implicit:
     """One s3 variant on one model at step h.  It holds the per-run
-    constants M/h, diag(M/h) and (h/12)(ca, cx, cb), and its ``ev`` is
+    constants diag(M/h) and (h/12)(ca, cx, cb), and its ``ev`` is
     (g, Hs, J0 = M/h + (h/12) cb Hs) at the start state (see
     :class:`_Verlet`): the momentum update forms J0 at x, and the next step
     reuses it in R and in J(a) = J0 + (h/12) cx Hs(a).  Within a step, the
@@ -204,10 +203,8 @@ class _Implicit:
         ca, cx, cb = _S3_COEFFS[variant]
         c = h / 12.0
         self.model = model
-        self.h = h
         self.cfg = cfg if cfg is not None else SolverConfig()
-        self.mh = model.mass / h
-        self.Mh = np.diag(self.mh)
+        self.Mh = np.diag(model.mass / h)
         self.cca, self.ccx, self.ccb = c * ca, c * cx, c * cb
         self._residual_at = None, None
 
@@ -243,25 +240,13 @@ class _Implicit:
         pn = J0.dot(x - a) - (self.ccx * ga + self.cca * gx)
         return pn, (gx, Hx, J0)
 
-    def predictor(self, a, p, ga):
-        """The Verlet position a + (p - (h/2) g(a)) h / M."""
-        return a + (p - 0.5 * self.h * ga) / self.mh
-
     def advance(self, a, p, ev):
         ga, Ha, J0 = ev
         residual, jacobian = self.system(a, p, ga, J0)
-        # simplified Newton from x = a with J(a) frozen (module docstring)
-        J = J0 + self.ccx * Ha
-        x, report = solve_newton(residual, J, a, self.cfg,
-                                 r0=(self.cca + self.ccx) * ga - p)
-        if not report.converged and report.cause not in (
-                CAUSE_MAX_ITERATIONS, CAUSE_RESIDUAL_FLOOR):
-            # J(a) is too far from the Jacobian along this step: full
-            # Newton from the Verlet predictor
-            chord = report.iterations
-            x, report = solve_newton(residual, jacobian,
-                                     self.predictor(a, p, ga), self.cfg)
-            report = replace(report, iterations=chord + report.iterations)
+        # from x = a, with j0 = J(a) (module docstring)
+        x, report = solve_newton(residual, jacobian, a, self.cfg,
+                                 r0=(self.cca + self.ccx) * ga - p,
+                                 j0=J0 + self.ccx * Ha)
         if not report.converged:
             raise StepError(
                 f"implicit step failed ({report.cause}) after {report.iterations} "
@@ -334,9 +319,8 @@ def step_action(variant, model, a, x, h):
 
 
 def s3_step(variant, model, s, h, solver_cfg=None):
-    """One implicit step: solve the position equation (simplified Newton
-    from the start point, full Newton as the fallback), then update the
-    momentum.
+    """One implicit step: solve the position equation (Newton from the start
+    point, keeping J while it contracts), then update the momentum.
 
     Raises StepError carrying the SolverReport when the solve fails.
     """

@@ -1,8 +1,7 @@
 """The Newton solver for the per-step implicit equation.
 
-It takes closures (the residual and its Jacobian, which may also be a
-fixed matrix) and is the one solve loop of the package: every implicit
-step, of every model, runs through it.
+It takes closures (the residual and its Jacobian) and is the one solve
+loop of the package: every implicit step, of every model, runs through it.
 """
 
 import math
@@ -14,10 +13,9 @@ CAUSE_OK = ""
 CAUSE_MAX_ITERATIONS = "max_iterations"
 CAUSE_SINGULAR_JACOBIAN = "singular_jacobian"
 CAUSE_NON_FINITE = "non_finite"
-CAUSE_NO_CONTRACTION = "no_contraction"
 CAUSE_RESIDUAL_FLOOR = "residual_floor"
 
-# A fixed matrix of order >= NEUMANN_MIN_D whose off-diagonal rows sum to at
+# A Jacobian of order >= NEUMANN_MIN_D whose off-diagonal rows sum to at
 # most NEUMANN_MAX_COUPLING of their diagonal entry is inverted by one
 # Jacobi-Neumann term instead of LAPACK (see _minus_inverse).
 NEUMANN_MIN_D = 16
@@ -79,34 +77,33 @@ def _minus_inverse(J):
         return None
 
 
-def solve_newton(residual, jacobian, x0, cfg, r0=None):
-    """Newton iteration on R(x) = 0 with a dense direct linear solve.
+def solve_newton(residual, jacobian, x0, cfg, r0=None, j0=None):
+    """Newton iteration on R(x) = 0 that keeps its Jacobian inverse while it
+    contracts.
 
-    ``jacobian`` is either a callable J(x), evaluated and solved at every
-    iterate (Newton), or a fixed matrix, inverted once and applied at every
-    iterate (simplified Newton, the chord iteration; a large diagonally
-    dominant matrix is inverted approximately, see _minus_inverse).
-    ``r0``, when given, is R(x0) and saves its evaluation.
+    ``jacobian`` is a callable J(x).  ``r0`` and ``j0``, when given, are
+    R(x0) and J(x0) and save their evaluations.  K = J(x0)^-1 is formed
+    once (a large diagonally dominant J approximately, see _minus_inverse)
+    and applied at every update, the chord iteration.  An update above
+    round-off that does not halve the residual, theta = ||R(x)|| /
+    ||R(x_prev)|| > 1/2, re-inverts J at the current iterate and the
+    iteration goes on with the new K; full Newton is the limit of
+    refreshing at every update (Shamanskii's method, and the theta-driven
+    Jacobian reuse of RADAU5).
 
-    Convergence means ||R(x)||_inf <= cfg.tolerance.  Newton converges
-    quadratically, so from there its next update is below round-off; the
-    chord iteration converges only linearly, so it also requires x to be at
-    round-off: the update that reached x is at most 16 ulp(1 + ||x||_inf),
-    or the next one, predicted from the observed contraction
-    theta = ||R(x)|| / ||R(x_prev)||, is at most a quarter of that ulp.  A
-    chord update above round-off with theta > 1/2 stops the iteration with
-    cause "no_contraction": the fixed matrix is too far from J(x) for the
-    iteration to reach round-off in the default 50 updates, if at all.  A
-    chord update at round-off with theta > 1/2 and the residual still above
-    the tolerance stops it with cause "residual_floor": x no longer moves,
-    so the residual cannot fall further than its round-off floor, and more
-    updates (or full Newton, which meets the same floor) cannot help.
+    Convergence means ||R(x)||_inf <= cfg.tolerance with x at round-off,
+    since the chord converges only linearly: the update that reached x is
+    at most 16 ulp(1 + ||x||_inf), or the next one, predicted from theta,
+    is at most a quarter of that ulp.  An update at round-off with theta >
+    1/2 and the residual still above the tolerance stops with cause
+    "residual_floor": x no longer moves, so the residual cannot fall below
+    its round-off floor, and a fresh J (which meets the same floor) cannot
+    help.
 
     iterations counts accepted updates, so an x0 that already satisfies the
     tolerance reports 0 iterations.  On failure the lowest-residual iterate
     seen is returned, with the cause recorded ("max_iterations",
-    "singular_jacobian", "non_finite", "no_contraction" or
-    "residual_floor").
+    "singular_jacobian", "non_finite" or "residual_floor").
     """
     x = np.array(x0, dtype=np.float64, copy=True)
     r = np.asarray(residual(x) if r0 is None else r0, dtype=np.float64)
@@ -116,41 +113,25 @@ def solve_newton(residual, jacobian, x0, cfg, r0=None):
         return x, SolverReport(False, 0, np.inf, CAUSE_NON_FINITE)
     if rnorm <= cfg.tolerance:
         return x, SolverReport(True, 0, rnorm)
-    chord = not callable(jacobian)
-    if chord:
-        minus_J_inv = _minus_inverse(jacobian)
-        if minus_J_inv is None:
-            return x, SolverReport(False, 0, rnorm, CAUSE_SINGULAR_JACOBIAN)
+    minus_K = _minus_inverse(jacobian(x) if j0 is None else j0)
+    if minus_K is None:
+        return x, SolverReport(False, 0, rnorm, CAUSE_SINGULAR_JACOBIAN)
     # x is rebound, never written in place, so iterates need no copies
-    best_x = x
-    best_norm = rnorm
-    iters = 0
+    best_x, best_norm = x, rnorm
     cause = CAUSE_MAX_ITERATIONS
     for it in range(1, cfg.max_iterations + 1):
-        if chord:
-            delta = minus_J_inv.dot(r)
-        else:
-            try:
-                J = np.asarray(jacobian(x), dtype=np.float64)
-                delta = np.linalg.solve(J, -r)
-            except np.linalg.LinAlgError:
-                cause = CAUSE_SINGULAR_JACOBIAN
-                break
+        delta = minus_K.dot(r)
         x = x + delta
-        iters = it
         r = np.asarray(residual(x), dtype=np.float64)
         rnorm, prev_norm = _norm(r), rnorm
         if not math.isfinite(rnorm):
             cause = CAUSE_NON_FINITE
             break
         if rnorm < best_norm:
-            best_norm = rnorm
-            best_x = x
+            best_x, best_norm = x, rnorm
         within = rnorm <= cfg.tolerance
-        if within and not chord:
-            return x, SolverReport(True, it, rnorm)
         contracting = rnorm <= 0.5 * prev_norm
-        if chord and (within or not contracting):
+        if within or not contracting:
             ulp = math.ulp(1.0 + _norm(x))
             dnorm = _norm(delta)
             at_roundoff = (dnorm <= 16.0 * ulp
@@ -161,6 +142,8 @@ def solve_newton(residual, jacobian, x0, cfg, r0=None):
                 cause = CAUSE_RESIDUAL_FLOOR
                 break
             if not contracting:
-                cause = CAUSE_NO_CONTRACTION
-                break
-    return best_x, SolverReport(False, iters, best_norm, cause)
+                minus_K = _minus_inverse(jacobian(x))
+                if minus_K is None:
+                    cause = CAUSE_SINGULAR_JACOBIAN
+                    break
+    return best_x, SolverReport(False, it, best_norm, cause)

@@ -4,8 +4,9 @@
 the Lennard-Jones value, gradient and Hessian pair by pair, and
 ``gauss_solve`` is Gaussian elimination with partial pivoting.  They are
 the loop forms that the ``lj-cluster`` model's pair-list kernels and the
-Newton solver's LAPACK solve replaced; tests compare the library against
-them.
+Newton solver's LAPACK inverse replaced; tests compare the library against
+them.  ``newton_lu`` is full Newton, one LU solve per iterate, the
+reference for the library's Newton loop, which keeps its Jacobian inverse.
 """
 
 import numpy as np
@@ -131,3 +132,14 @@ def gauss_solve(A, b):
             s -= U[i, j] * x[j]
         x[i] = s / U[i, i]
     return x, True
+
+
+def newton_lu(residual, jacobian, x, tolerance, max_iterations=50):
+    """Full Newton on R(x) = 0: J(x) delta = -R(x) by LU at every iterate,
+    until ||R||_inf <= tolerance.  Returns (x, converged)."""
+    for _ in range(max_iterations + 1):
+        r = residual(x)
+        if np.abs(r).max() <= tolerance:
+            return x, True
+        x = x + np.linalg.solve(jacobian(x), -r)
+    return x, False

@@ -279,6 +279,21 @@ def test_too_many_records_exit_1(capsys):
     assert "records of dimension 2 are too many to allocate" in err
 
 
+def test_check_with_too_many_records_exits_at_once():
+    """check refuses the run before its reversibility legs, which record
+    only two states and would otherwise integrate all 1e21 steps first."""
+    src = os.path.dirname(os.path.dirname(symstep.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "symstep.cli", "check", "--model", "kepler",
+         "--scheme", "verlet", "--h", "0.1", "--t_end", "1e20"],
+        capture_output=True, text=True, env=env, timeout=30)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("symstep: ") and proc.stderr.count("\n") == 1
+    assert "too many to allocate" in proc.stderr
+
+
 def test_unreadable_config_exit_3(capsys):
     assert main(["run", "--config", "/does/not/exist.cfg"]) == 3
     assert "cannot read" in capsys.readouterr().err

@@ -8,9 +8,8 @@ import pytest
 
 import symstep as ss
 from symstep import solvers
-from symstep.solvers import (CAUSE_MAX_ITERATIONS, CAUSE_NO_CONTRACTION,
-                             CAUSE_NON_FINITE, CAUSE_RESIDUAL_FLOOR,
-                             CAUSE_SINGULAR_JACOBIAN)
+from symstep.solvers import (CAUSE_MAX_ITERATIONS, CAUSE_NON_FINITE,
+                             CAUSE_RESIDUAL_FLOOR, CAUSE_SINGULAR_JACOBIAN)
 
 
 def scalar_problem(f, df):
@@ -49,19 +48,25 @@ def test_newton_linear_one_step():
 
 
 def test_newton_quadratic_iterates():
-    seen = []
+    """x^2 = 4 from x0 = 3: J(3) = 6 is inverted once and kept, since each
+    update shrinks the residual by theta <= 1/3 (0.14 at the first)."""
+    seen, jacobians = [], []
 
     def f(x):
         seen.append(x[0])
         return np.array([x[0] ** 2 - 4.0])
 
-    jac = lambda x: np.array([[2.0 * x[0]]])
+    def jac(x):
+        jacobians.append(x[0])
+        return np.array([[2.0 * x[0]]])
+
     x, report = ss.solve_newton(f, jac, np.array([3.0]),
                                 ss.SolverConfig(tolerance=1e-12))
     assert report.converged
     assert abs(x[0] - 2.0) <= 1e-12
-    # hand iteration: 3 -> 13/6 -> 313/156 -> ...
-    npt.assert_allclose(seen[:3], [3.0, 13 / 6, 313 / 156], rtol=0, atol=1e-15)
+    assert jacobians == [3.0]
+    # hand iteration with J frozen at 6: 3 -> 13/6 -> 443/216 -> ...
+    npt.assert_allclose(seen[:3], [3.0, 13 / 6, 443 / 216], rtol=0, atol=1e-15)
 
 
 def test_newton_zero_iterations_at_root():
@@ -115,12 +120,12 @@ def test_newton_vector_system():
     npt.assert_allclose(A @ x, b, rtol=0, atol=1e-14)
 
 
-# ------------------------------------------------- chord (fixed Jacobian)
+# ------------------------------------------------ chord (Jacobian kept)
 
 def test_chord_linear_one_update():
     A = np.array([[4.0, 1.0], [1.0, 3.0]])
     b = np.array([1.0, 2.0])
-    x, report = ss.solve_newton(lambda x: A @ x - b, A, np.zeros(2),
+    x, report = ss.solve_newton(lambda x: A @ x - b, lambda x: A, np.zeros(2),
                                 ss.SolverConfig())
     assert report.converged
     assert report.iterations == 1
@@ -134,8 +139,9 @@ def test_chord_given_start_residual_is_not_evaluated():
         seen.append(x[0])
         return np.array([2.0 * x[0] - 4.0])
 
-    x, report = ss.solve_newton(residual, np.array([[2.0]]), np.array([0.0]),
-                                ss.SolverConfig(), r0=np.array([-4.0]))
+    x, report = ss.solve_newton(residual, lambda x: np.array([[2.0]]),
+                                np.array([0.0]), ss.SolverConfig(),
+                                r0=np.array([-4.0]))
     assert report.converged
     assert seen == [2.0]
 
@@ -145,25 +151,33 @@ def test_chord_iterates_past_the_tolerance_to_round_off():
     per update.  The residual test alone could stop up to 2.5e-11 from the
     root; the chord goes on until its update is within 16 ulp of 1 + |x|."""
     x, report = ss.solve_newton(lambda x: np.array([x[0] ** 2 - 4.0]),
-                                np.array([[6.0]]), np.array([3.0]),
+                                lambda x: np.array([[6.0]]), np.array([3.0]),
                                 ss.SolverConfig(tolerance=1e-10))
     assert report.converged
     assert abs(x[0] - 2.0) <= 16 * np.spacing(3.0)
 
 
-def test_chord_without_contraction_stops_early():
-    # the frozen derivative has the wrong sign: every update moves away
-    x, report = ss.solve_newton(lambda x: np.array([x[0] ** 2 - 4.0]),
-                                np.array([[-6.0]]), np.array([3.0]),
-                                ss.SolverConfig())
-    assert not report.converged
-    assert report.cause == CAUSE_NO_CONTRACTION
-    assert report.iterations == 1
-    assert x[0] == 3.0  # the lowest-residual iterate
+def test_chord_without_contraction_refreshes_the_jacobian():
+    """The given J(x0) has the wrong sign, so the first update moves away
+    from the root.  That update does not halve the residual, so J is
+    re-inverted once, at the iterate it reached, and the iteration goes on
+    with the new inverse to round-off."""
+    jacobians = []
+
+    def jac(x):
+        jacobians.append(x[0])
+        return np.array([[2.0 * x[0]]])
+
+    x, report = ss.solve_newton(lambda x: np.array([x[0] ** 2 - 4.0]), jac,
+                                np.array([3.0]), ss.SolverConfig(),
+                                j0=np.array([[-6.0]]))
+    assert report.converged
+    assert jacobians == [pytest.approx(23 / 6, rel=1e-15)]
+    assert abs(x[0] - 2.0) <= 16 * np.spacing(2.0)
 
 
 def test_chord_singular_matrix_reported():
-    x, report = ss.solve_newton(lambda x: x + 1.0, np.zeros((1, 1)),
+    x, report = ss.solve_newton(lambda x: x + 1.0, lambda x: np.zeros((1, 1)),
                                 np.array([0.0]), ss.SolverConfig())
     assert not report.converged
     assert report.cause == CAUSE_SINGULAR_JACOBIAN
@@ -175,7 +189,7 @@ def test_chord_stops_at_the_residual_floor():
     it reads +-4.4e-13, above the tolerance.  Once the updates are at
     round-off the chord stops there instead of running out its updates."""
     x, report = ss.solve_newton(lambda x: 1e3 * (x * x - 2.0),
-                                np.array([[3e3]]), np.array([1.5]),
+                                lambda x: np.array([[3e3]]), np.array([1.5]),
                                 ss.SolverConfig())
     assert not report.converged
     assert report.cause == CAUSE_RESIDUAL_FLOOR
@@ -184,7 +198,7 @@ def test_chord_stops_at_the_residual_floor():
     assert abs(x[0] - np.sqrt(2.0)) <= np.spacing(np.sqrt(2.0))
 
 
-# ------------------------------- chord inverse of large dominant matrices
+# ------------------------------ inverse of large dominant Jacobians
 
 def test_neumann_inverse_gives_the_exact_inverse_solution(monkeypatch):
     """On a d = 24 dominant SPD Jacobian the one-term Neumann inverse takes
@@ -199,9 +213,10 @@ def test_neumann_inverse_gives_the_exact_inverse_solution(monkeypatch):
     K = -solvers._minus_inverse(J)
     D_inv_O = (J - np.diag(J.diagonal())) / J.diagonal()[:, None]
     npt.assert_allclose(np.eye(24) - K @ J, D_inv_O @ D_inv_O, rtol=0, atol=1e-15)
-    x, report = ss.solve_newton(residual, J, np.zeros(24), ss.SolverConfig())
+    x, report = ss.solve_newton(residual, lambda x: J, np.zeros(24),
+                                ss.SolverConfig())
     monkeypatch.setattr(solvers, "NEUMANN_MIN_D", 10 ** 9)
-    x_inv, report_inv = ss.solve_newton(residual, J, np.zeros(24),
+    x_inv, report_inv = ss.solve_newton(residual, lambda x: J, np.zeros(24),
                                         ss.SolverConfig())
     assert report.converged and report_inv.converged
     assert report.iterations == report_inv.iterations
@@ -220,7 +235,7 @@ def test_zero_diagonal_at_neumann_size_is_singular():
     dg[7] = 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        x, report = ss.solve_newton(lambda x: x + 1.0, np.diag(dg),
+        x, report = ss.solve_newton(lambda x: x + 1.0, lambda x: np.diag(dg),
                                     np.zeros(24), ss.SolverConfig())
     assert report.cause == CAUSE_SINGULAR_JACOBIAN
     assert report.iterations == 0
