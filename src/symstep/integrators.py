@@ -41,14 +41,14 @@ Jacobi-Neumann term when J(a) is of order >= 16 and diagonally dominant)
 and kept while the residual at least halves per update.  Its first update
 is exact when R is affine (quadratic potentials) and O(h^4) accurate
 otherwise, and it stops only once x is at round-off.  An update that does
-not halve the residual re-inverts J at the iterate it reached; a step whose
+not halve the residual re-inverts J (see :func:`solve_newton`); a step whose
 residual stalls at its round-off floor above the tolerance fails at once.
 The momentum update reuses the g(x) that the residual computed at the last
 iterate, and a trajectory reuses each step's end evaluations as the next
-step's start, so an implicit step with k updates and no refresh makes k
-gradient and 1 Hessian evaluation and one inversion of J(a); each refresh
-adds one Hessian evaluation and one inversion.  The public functions check
-the state and the hooks' output at the start state only.
+step's start, so an implicit step with k updates makes k gradient and 1
+Hessian evaluation and one inversion of J(a), and one more Hessian and
+inversion per refresh.  The public functions check the state and the
+hooks' output at the start state only.
 """
 
 import enum

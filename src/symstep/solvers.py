@@ -78,32 +78,31 @@ def _minus_inverse(J):
 
 
 def solve_newton(residual, jacobian, x0, cfg, r0=None, j0=None):
-    """Newton iteration on R(x) = 0 that keeps its Jacobian inverse while it
-    contracts.
+    """Newton iteration on R(x) = 0 that keeps J^-1 while it contracts.
 
-    ``jacobian`` is a callable J(x).  ``r0`` and ``j0``, when given, are
-    R(x0) and J(x0) and save their evaluations.  K = J(x0)^-1 is formed
-    once (a large diagonally dominant J approximately, see _minus_inverse)
-    and applied at every update, the chord iteration.  An update above
-    round-off that does not halve the residual, theta = ||R(x)|| /
-    ||R(x_prev)|| > 1/2, re-inverts J at the current iterate and the
-    iteration goes on with the new K; full Newton is the limit of
-    refreshing at every update (Shamanskii's method, and the theta-driven
-    Jacobian reuse of RADAU5).
+    ``jacobian`` is a callable J(x); ``r0`` and ``j0``, when given, are R(x0)
+    and J(x0) and save their evaluations.  K = J(x0)^-1 (a large diagonally
+    dominant J inverted approximately, see _minus_inverse) is kept while
+    each update halves the residual: the chord iteration.  An update above
+    round-off with theta = ||R(x_new)|| / ||R(x)|| in (1/2, 1] re-inverts J
+    at x_new; full Newton is the limit of refreshing at every update
+    (Shamanskii's method, and the theta-driven Jacobian reuse of RADAU5).
+    An update that raises the residual, or makes it non-finite, is dropped:
+    J is re-inverted at x, or K is halved if it was formed at x already.
+    Only a first update that points uphill in R (R(x0) . delta > 0) is
+    taken whole: for a residual that is a gradient, as the s3 position
+    equation is, J(x0) is then not positive definite, and a shorter update
+    would head for a saddle.
 
     Convergence means ||R(x)||_inf <= cfg.tolerance with x at round-off,
     since the chord converges only linearly: the update that reached x is
     at most 16 ulp(1 + ||x||_inf), or the next one, predicted from theta,
     is at most a quarter of that ulp.  An update at round-off with theta >
-    1/2 and the residual still above the tolerance stops with cause
-    "residual_floor": x no longer moves, so the residual cannot fall below
-    its round-off floor, and a fresh J (which meets the same floor) cannot
-    help.
-
-    iterations counts accepted updates, so an x0 that already satisfies the
-    tolerance reports 0 iterations.  On failure the lowest-residual iterate
-    seen is returned, with the cause recorded ("max_iterations",
-    "singular_jacobian", "non_finite" or "residual_floor").
+    1/2 and the residual above the tolerance stops with "residual_floor":
+    x no longer moves, and a fresh J meets the same floor.  iterations
+    counts the updates tried (0 when x0 meets the tolerance).  On failure
+    the lowest-residual iterate seen is returned, with the cause
+    ("max_iterations", "singular_jacobian", "non_finite", "residual_floor").
     """
     x = np.array(x0, dtype=np.float64, copy=True)
     r = np.asarray(residual(x) if r0 is None else r0, dtype=np.float64)
@@ -116,34 +115,40 @@ def solve_newton(residual, jacobian, x0, cfg, r0=None, j0=None):
     minus_K = _minus_inverse(jacobian(x) if j0 is None else j0)
     if minus_K is None:
         return x, SolverReport(False, 0, rnorm, CAUSE_SINGULAR_JACOBIAN)
+    fresh = True    # minus_K was formed at x
     # x is rebound, never written in place, so iterates need no copies
     best_x, best_norm = x, rnorm
     cause = CAUSE_MAX_ITERATIONS
     for it in range(1, cfg.max_iterations + 1):
         delta = minus_K.dot(r)
-        x = x + delta
-        r = np.asarray(residual(x), dtype=np.float64)
-        rnorm, prev_norm = _norm(r), rnorm
-        if not math.isfinite(rnorm):
-            cause = CAUSE_NON_FINITE
-            break
-        if rnorm < best_norm:
-            best_x, best_norm = x, rnorm
-        within = rnorm <= cfg.tolerance
-        contracting = rnorm <= 0.5 * prev_norm
+        x_new = x + delta
+        r_new = np.asarray(residual(x_new), dtype=np.float64)
+        norm_new = _norm(r_new)
+        if norm_new < best_norm:
+            best_x, best_norm = x_new, norm_new
+        within = norm_new <= cfg.tolerance
+        contracting = norm_new <= 0.5 * rnorm
         if within or not contracting:
-            ulp = math.ulp(1.0 + _norm(x))
+            ulp = math.ulp(1.0 + _norm(x_new))
             dnorm = _norm(delta)
-            at_roundoff = (dnorm <= 16.0 * ulp
-                           or rnorm * dnorm <= 0.25 * ulp * prev_norm)
-            if at_roundoff:
+            if dnorm <= 16.0 * ulp or norm_new * dnorm <= 0.25 * ulp * rnorm:
                 if within:
-                    return x, SolverReport(True, it, rnorm)
+                    return x_new, SolverReport(True, it, norm_new)
                 cause = CAUSE_RESIDUAL_FLOOR
                 break
-            if not contracting:
-                minus_K = _minus_inverse(jacobian(x))
-                if minus_K is None:
-                    cause = CAUSE_SINGULAR_JACOBIAN
-                    break
+        if norm_new <= rnorm or (it == 1 and r.dot(delta) > 0
+                                 and math.isfinite(norm_new)):
+            x, r, rnorm, fresh = x_new, r_new, norm_new, False
+            if contracting:
+                continue
+        elif fresh:
+            minus_K = 0.5 * minus_K
+            continue
+        if it == cfg.max_iterations:
+            break
+        minus_K = _minus_inverse(jacobian(x))
+        if minus_K is None:
+            cause = CAUSE_SINGULAR_JACOBIAN
+            break
+        fresh = True
     return best_x, SolverReport(False, it, best_norm, cause)

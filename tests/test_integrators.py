@@ -230,12 +230,13 @@ def test_zero_jacobian_reports_singular_jacobian():
 
 def test_chord_without_contraction_refreshes_the_jacobian():
     """From perihelion at e = 0.9 the Hessian changes so much over a step of
-    h = 0.05 that the chord on J(a) does not halve the residual.  The step
-    then re-inverts J at its current iterate, once, and converges: three
-    Hessian calls (the start, the refresh and the momentum update), where
-    the full-Newton restart from the Verlet predictor that this replaced
-    made six.  The step is solve_newton on the build_step_system closures
-    from x = a with j0 = J(a), plus s3_momentum_update, bit for bit."""
+    h = 0.05 that the first update on J(a) raises the residual.  It is
+    halved twice; the quarter update does not halve the residual, so the
+    step re-inverts J there, once, and converges: three Hessian calls (the
+    start, the refresh and the momentum update), where the full-Newton
+    restart from the Verlet predictor that this replaced made six.  The
+    step is solve_newton on the build_step_system closures from x = a with
+    j0 = J(a), plus s3_momentum_update, bit for bit."""
     from symstep.models import KeplerModel
 
     s, h = ss.PhaseState(*ss.kepler_start(0.9)), 0.05
@@ -476,12 +477,12 @@ def test_integrate_rejects_too_many_records():
     assert "\n" not in str(err.value)
 
 
-def thermal_lattice(n_atoms):
+def thermal_lattice(n_atoms, seed=(2016, 0)):
     """A jittered 2 x 2 x (N/4) LJ lattice with thermal momenta (kT = 0.05)
     and no centre-of-mass momentum."""
     idx = np.arange(n_atoms)
     sites = np.stack([idx % 2, (idx // 2) % 2, idx // 4], axis=1) * 2.0 ** (1 / 6)
-    rng = np.random.default_rng([2016, 0])
+    rng = np.random.default_rng(list(seed))
     q = sites + rng.normal(scale=0.02, size=sites.shape)
     p = rng.normal(size=sites.shape)
     p -= p.mean(axis=0)
@@ -531,43 +532,62 @@ def coarse_step_runs():
                        thermal_lattice(n_atoms), 50)
 
 
-# the coarse-step runs that fail, each with its failed step and cause as
-# measured: Kepler s3-printed/s3-generating at the residual floor, LJ(16)
-# at h = 0.002 at the floor (ROADMAP item 2), the rest at max_iterations
+# the coarse-step runs that fail, with their failed step and cause: the
+# same as under the full-Newton restart from the Verlet predictor that the
+# Jacobian refresh replaced.  That restart also failed LJ(16) s3-corrected
+# at h = 0.1 (step 47, max_iterations), which now converges.
 COARSE_STEP_FAILURES = {
-    ("kepler-0.8", 0.01, "s3-printed"),      # step 400, residual_floor
-    ("kepler-0.9", 0.01, "s3-printed"),      # step 277, residual_floor
-    ("kepler-0.9", 0.1, "s3-printed"),       # step 49, residual_floor
-    ("kepler-0.9", 0.1, "s3-generating"),    # step 51, residual_floor
-    ("lj8", 0.05, "s3-generating"),          # step 50, residual_floor
-    ("lj8", 0.1, "s3-generating"),           # step 4, max_iterations
-    ("lj16", 0.002, "s3-corrected"),         # step 2, residual_floor
-    ("lj16", 0.002, "s3-generating"),        # step 2, residual_floor
-    ("lj16", 0.05, "s3-generating"),         # step 21, max_iterations
-    ("lj16", 0.1, "s3-generating"),          # step 1, max_iterations
+    ("kepler-0.8", 0.01, "s3-printed"): (400, "residual_floor"),
+    ("kepler-0.9", 0.01, "s3-printed"): (277, "residual_floor"),
+    ("kepler-0.9", 0.1, "s3-printed"): (49, "residual_floor"),
+    ("kepler-0.9", 0.1, "s3-generating"): (51, "residual_floor"),
+    ("lj8", 0.1, "s3-generating"): (4, "max_iterations"),
+    ("lj16", 0.002, "s3-corrected"): (2, "residual_floor"),
+    ("lj16", 0.002, "s3-generating"): (2, "residual_floor"),
+    ("lj16", 0.05, "s3-generating"): (21, "max_iterations"),
+    ("lj16", 0.1, "s3-generating"): (1, "max_iterations"),
 }
 
 
 def test_coarse_steps_converge_or_report():
     """On coarse steps the chord on J(a) often stops contracting, and the
-    loop refreshes J.  74 of the 84 runs converge; each of the other 10
-    fails with a failed step and a cause, never an exception.
-
-    LJ(8) s3-generating at h = 0.05 fails: at step 48 the loop from x = a
-    reaches a root with H - H0 = +199, where full Newton from the Verlet
-    predictor reaches one with +17.5 (ROADMAP item 9), and step 50 stops at
-    the residual floor."""
-    causes = {"max_iterations", "residual_floor", "singular_jacobian",
-              "non_finite"}
+    loop refreshes J.  75 of the 84 runs converge; each of the other 9
+    fails at its recorded step with its recorded cause, never with an
+    exception."""
     for key, model, s, n in coarse_step_runs():
         traj = ss.integrate(model, key[2], s, key[1], n)
         if key not in COARSE_STEP_FAILURES:
             assert not traj.failed, key
             continue
-        assert traj.failed, key
-        assert 1 <= traj.failed_step <= n
+        assert (traj.failed_step, traj.failure.cause) == COARSE_STEP_FAILURES[key]
         assert len(traj) == traj.failed_step
-        assert traj.failure.cause in causes
+
+
+# (n_atoms, lattice seed, h, max |H - H0|): s3-generating runs of 50 steps,
+# each with a step on which the first update on J(a) raises the residual.
+# The full-Newton restart from the Verlet predictor converged on every step,
+# and max |H - H0| is the value its roots reached.
+ROOT_CHOICE_RUNS = [
+    (8, (4, 8), 0.1, 47.533466483656),
+    (16, (13, 16), 0.05, 62.246925634404),
+    (16, (17, 16), 0.05, 330.219054718592),
+    (16, (18, 16), 0.05, 28.382276740827),
+    (8, (21, 8), 0.05, 31.074009223242),
+]
+
+
+@pytest.mark.parametrize("n_atoms, seed, h, max_dh", ROOT_CHOICE_RUNS)
+def test_coarse_steps_keep_their_roots(n_atoms, seed, h, max_dh):
+    """Halving every update that raises the residual, or taking every one
+    whole, loses some of these runs: each takes a saddle root (H - H0 up to
+    3e3) and then fails, or fails outright."""
+    model = ss.make_model("lj-cluster", dimension=3 * n_atoms)
+    s = thermal_lattice(n_atoms, seed)
+    traj = ss.integrate(model, "s3-generating", s, h, 50)
+    assert not traj.failed
+    H = [ss.hamiltonian_energy(model, ss.PhaseState(q, p)).total
+         for q, p in zip(traj.q, traj.p)]
+    assert np.max(np.abs(np.array(H) - H[0])) == pytest.approx(max_dh, rel=1e-8)
 
 
 def agreement_case(name, rng):

@@ -159,9 +159,9 @@ def test_chord_iterates_past_the_tolerance_to_round_off():
 
 def test_chord_without_contraction_refreshes_the_jacobian():
     """The given J(x0) has the wrong sign, so the first update moves away
-    from the root.  That update does not halve the residual, so J is
-    re-inverted once, at the iterate it reached, and the iteration goes on
-    with the new inverse to round-off."""
+    from the root and raises the residual.  It points uphill in R, so it is
+    taken whole, J is re-inverted once, at the iterate it reached, and the
+    iteration goes on with the new inverse to round-off."""
     jacobians = []
 
     def jac(x):
@@ -174,6 +174,42 @@ def test_chord_without_contraction_refreshes_the_jacobian():
     assert report.converged
     assert jacobians == [pytest.approx(23 / 6, rel=1e-15)]
     assert abs(x[0] - 2.0) <= 16 * np.spacing(2.0)
+
+
+def test_newton_update_that_raises_the_residual_is_halved():
+    """Newton on arctan from x0 = 2 overshoots to -3.54, where |R| rises
+    from 1.11 to 1.30.  K was formed at x0 and the update points downhill,
+    so it is halved instead: -0.77 (|R| = 0.66) is taken, and J is
+    re-inverted there."""
+    jacobians = []
+
+    def jac(x):
+        jacobians.append(x[0])
+        return np.array([[1.0 / (1.0 + x[0] ** 2)]])
+
+    x, report = ss.solve_newton(lambda x: np.arctan(x), jac, np.array([2.0]),
+                                ss.SolverConfig())
+    assert report.converged
+    assert jacobians[:2] == [2.0, pytest.approx(2.0 - 2.5 * np.arctan(2.0),
+                                                rel=1e-15)]
+    assert abs(x[0]) <= 1e-13
+
+
+def test_chord_update_that_raises_the_residual_refreshes_where_it_started():
+    """The chord on arctan with J frozen at 0.4 contracts from x0 = 3 to
+    -0.12, then overshoots to 0.18 and raises the residual.  That update is
+    dropped and J is re-inverted at -0.12, not at 0.18."""
+    jacobians = []
+
+    def jac(x):
+        jacobians.append(x[0])
+        return np.array([[1.0 / (1.0 + x[0] ** 2)]])
+
+    x, report = ss.solve_newton(lambda x: np.arctan(x), jac, np.array([3.0]),
+                                ss.SolverConfig(), j0=np.array([[0.4]]))
+    assert report.converged
+    assert jacobians == [pytest.approx(3.0 - 2.5 * np.arctan(3.0), rel=1e-15)]
+    assert abs(x[0]) <= 1e-13
 
 
 def test_chord_singular_matrix_reported():
