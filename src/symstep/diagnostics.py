@@ -37,16 +37,19 @@ def _state_distance(a: PhaseState, b: PhaseState):
 
 
 def energy_series(traj: Trajectory, model):
-    """Total energy, kinetic plus V(q), of every record of traj."""
+    """Total energy, kinetic plus V(q), per record; a singular q raises."""
+    if traj.q.shape[1] != model.dimension:
+        raise ValueError("trajectory/model dimension mismatch")
     kinetic = 0.5 * np.sum(traj.p * traj.p / model.mass, axis=1)
-    return kinetic + np.array([model.value(q) for q in traj.q])
+    V = np.array([float(model._value(q)) for q in traj.q])
+    if not np.isfinite(V).all():
+        model.value(traj.q[np.isfinite(V).argmin()])
+    return kinetic + V
 
 
 def energy_drift(traj: Trajectory, model) -> DriftSeries:
     if len(traj) == 0:
         raise ValueError("empty trajectory")
-    if traj.q.shape[1] != model.dimension:
-        raise ValueError("trajectory/model dimension mismatch")
     total = energy_series(traj, model)
     values = total - total[0]
     mid = (len(values) + 1) // 2
@@ -56,14 +59,15 @@ def energy_drift(traj: Trajectory, model) -> DriftSeries:
                        first, second)
 
 
-def reversibility_error(variant, model, s0, h, n_steps, solver_cfg=None):
+def reversibility_error(variant, model, s0, h, n_steps, solver_cfg=None, forward=None):
     """Integrate n_steps forward with h, n_steps back with -h, and return the
-    infinity-norm distance to the start."""
+    infinity-norm distance to the start.  ``forward``, a trajectory of those
+    n_steps from s0 at any record stride, serves as the forward leg."""
     n_steps = int(n_steps)
     if n_steps == 0:
         return 0.0
-    fwd = integrate(model, variant, s0, h, n_steps, record_stride=n_steps,
-                    solver_cfg=solver_cfg)
+    fwd = forward if forward is not None else integrate(
+        model, variant, s0, h, n_steps, record_stride=n_steps, solver_cfg=solver_cfg)
     if fwd.failed:
         raise StepError(f"forward leg failed at step {fwd.failed_step}",
                         fwd.failure)

@@ -36,19 +36,18 @@ once per call (or per ``integrate`` run) holds the per-run constants and
 steps raw arrays through the model's ``_gradient``/``_hessian`` hooks; each
 implicit step solves through :func:`solve_newton`.  It starts at x = a,
 where R(a) = (h/12)(ca + cx) g(a) - p needs no new evaluation, with
-J(a) = M/h + (h/12)(cb + cx) Hs(a) inverted once (by LAPACK, or by one
-Jacobi-Neumann term when J(a) is of order >= 16 and diagonally dominant)
-and kept while the residual at least halves per update.  Its first update
-is exact when R is affine (quadratic potentials) and O(h^4) accurate
-otherwise, and it stops only once x is at round-off.  An update that does
-not halve the residual re-inverts J (see :func:`solve_newton`); a step whose
-residual stalls at its round-off floor above the tolerance fails at once.
-The momentum update reuses the g(x) that the residual computed at the last
-iterate, and a trajectory reuses each step's end evaluations as the next
-step's start, so an implicit step with k updates makes k gradient and 1
-Hessian evaluation and one inversion of J(a), and one more Hessian and
-inversion per refresh.  The public functions check the state and the
-hooks' output at the start state only.
+J(a) = M/h + (h/12)(cb + cx) Hs(a) inverted once (on Python floats at d <= 2;
+see solvers._minus_inverse) and kept while the residual at least halves per
+update.  Its first update is exact when R is affine (quadratic potentials)
+and O(h^4) accurate otherwise, and it stops only once x is at round-off.
+An update that does not halve the residual re-inverts J, and a residual
+stalled at its round-off floor above the tolerance fails the step at once
+(see :func:`solve_newton`).  The momentum update reuses the g(x) that the
+residual computed at the last iterate, and a trajectory reuses each step's
+end evaluations as the next step's start, so an implicit step with k
+updates makes k gradient and 1 Hessian evaluation and one inversion of
+J(a), and one more Hessian and inversion per refresh.  The public functions
+check the state and the hooks' output at the start state only.
 """
 
 import enum

@@ -213,12 +213,14 @@ class KeplerModel(PotentialModel):
         return q / (r2 * math.sqrt(r2))
 
     def _hessian(self, q):
-        """I / r^3 - 3 q q^T / r^5."""
-        r2 = q.dot(q) or math.nan
-        r3 = r2 * math.sqrt(r2)
-        H = (-3.0 * q)[:, None] * q / (r3 * r2)
-        H.flat[::3] += 1.0 / r3
-        return H
+        """I / r^3 - 3 q q^T / r^5 on floats, rounded as ((-3 q_i) q_j) / r^5
+        + [i = j] / r^3; a power of r that underflows divides as numpy."""
+        r2 = float(q.dot(q)) or math.nan
+        r3 = r2 * math.sqrt(r2) or np.float64(0.0)
+        r5, i3 = r3 * r2 or np.float64(0.0), 1.0 / r3
+        x, y = q.tolist()
+        return np.array([[-3.0 * x * x / r5 + i3, -3.0 * x * y / r5],
+                         [-3.0 * y * x / r5, -3.0 * y * y / r5 + i3]])
 
 
 class LJClusterModel(PotentialModel):

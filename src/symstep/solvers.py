@@ -5,6 +5,7 @@ loop of the package: every implicit step, of every model, runs through it.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +47,11 @@ IDENTITY_REPORT = SolverReport(True, 0, 0.0)
 
 
 def _norm(v):
+    """||v||_inf of a vector, bit for bit float(abs(v).max()); 0 if empty."""
+    if len(v) <= 16:    # Python floats beat numpy's overhead below ~20
+        t = v.tolist()
+        if t and math.isfinite(sum(t)):     # so no entry is NaN or inf
+            return abs(max(max(t), -min(t)))
     return float(abs(v).max()) if v.size else 0.0
 
 
@@ -57,11 +63,25 @@ def _minus_inverse(J):
     NEUMANN_MIN_D with ||D^-1 O||_inf <= NEUMANN_MAX_COUPLING gets the
     one-term Jacobi-Neumann inverse K = 2 D^-1 - D^-1 J D^-1, one elementwise
     pass: I - K J = (D^-1 O)^2, and K = D^-1 is exact for a diagonal J.
-    Every other J, smaller or less dominant, gets numpy.linalg.inv, which is
-    cheaper than the elementwise pass at small orders.
+    A J of order 1 or 2 takes LAPACK's own steps (LU, reciprocal pivots) on
+    Python floats, unless it needs a row exchange or a pivot is subnormal,
+    NaN or near round-off.  Every other J gets numpy.linalg.inv, cheaper than
+    the elementwise pass at small orders: None exactly where that raises.
     """
     J = np.asarray(J, dtype=np.float64)
     d = len(J)
+    if d == 1 and sys.float_info.min <= abs(J[0, 0]) <= sys.float_info.max:
+        return -1.0 / J
+    if d == 2:
+        (a, b), (c, e) = J.tolist()
+        if abs(a) >= max(abs(c), sys.float_info.min):
+            ia = 1.0 / a
+            u = e - c * ia * b
+            if abs(u) > max(1e-12 * abs(e), sys.float_info.min):
+                iu = 1.0 / u
+                y = (0.0 - c * ia) * iu
+                return np.array([[-((1.0 - b * y) * ia), -((0.0 - b * iu) * ia)],
+                                 [-y, -iu]])
     if d >= NEUMANN_MIN_D:
         dg = J.diagonal()
         if dg.all():

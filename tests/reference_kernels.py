@@ -7,7 +7,11 @@ the loop forms that the ``lj-cluster`` model's pair-list kernels and the
 Newton solver's LAPACK inverse replaced; tests compare the library against
 them.  ``newton_lu`` is full Newton, one LU solve per iterate, the
 reference for the library's Newton loop, which keeps its Jacobian inverse.
+``kepler_hessian_array`` is the array form of the Kepler Hessian that the
+model's Python-float form must reproduce bit for bit.
 """
+
+import math
 
 import numpy as np
 
@@ -143,3 +147,13 @@ def newton_lu(residual, jacobian, x, tolerance, max_iterations=50):
             return x, True
         x = x + np.linalg.solve(jacobian(x), -r)
     return x, False
+
+
+def kepler_hessian_array(q):
+    """I / r^3 - 3 q q^T / r^5 as one outer product over r^5, with 1 / r^3
+    added to the diagonal; r^2 = 0 becomes NaN."""
+    r2 = q.dot(q) or math.nan
+    r3 = r2 * math.sqrt(r2)
+    H = (-3.0 * q)[:, None] * q / (r3 * r2)
+    H.flat[::3] += 1.0 / r3
+    return H

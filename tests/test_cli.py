@@ -241,6 +241,63 @@ def test_check_singular_fd_step_named_failure(capsys):
     assert "FAIL" in grad and "SingularityError" in grad
 
 
+def _count_steps(monkeypatch):
+    """Count the one-step maps taken, per scheme class."""
+    from symstep import integrators
+
+    counts = {}
+    for cls in (integrators._Verlet, integrators._Implicit):
+        def advance(self, *args, _advance=cls.advance, _name=cls.__name__):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _advance(self, *args)
+        monkeypatch.setattr(cls, "advance", advance)
+    return counts
+
+
+def test_check_integrates_the_forward_leg_once(monkeypatch, capsys):
+    """The energy rows' run is the reversibility forward leg: n steps, n
+    back and 4d for the symplecticity stencil, where integrating the
+    forward leg again made 3n + 4d."""
+    counts = _count_steps(monkeypatch)
+    assert main(["check", "--model", "kepler", "--scheme", "s3-corrected",
+                 "--h", "0.05", "--t_end", "10", "--ecc", "0.3"]) == 0
+    n, d = 200, 2
+    assert counts == {"_Implicit": 2 * n + 4 * d}
+
+
+def test_compare_integrates_each_forward_leg_once(monkeypatch, capsys):
+    counts = _count_steps(monkeypatch)
+    assert main(["compare", "--model", "kepler", "--scheme", "s3-corrected",
+                 "--h", "0.05", "--t_end", "1", "--ecc", "0.3",
+                 "--record_stride", "4"]) == 0
+    assert counts == {"_Verlet": 40, "_Implicit": 40}
+
+
+def test_check_names_the_failed_forward_leg(capsys):
+    code = main(["check", "--model", "kepler", "--scheme", "s3-corrected",
+                 "--h", "0.1", "--t_end", "1", "--ecc", "0.3",
+                 "--tolerance", "1e-30", "--max_iterations", "2"])
+    assert code == 4
+    rev = [ln for ln in capsys.readouterr().out.splitlines()
+           if ln.startswith("reversibility")][0]
+    assert rev.endswith("FAIL  (StepError: forward leg failed at step 1)")
+
+
+def test_parser_is_built_once_and_keeps_no_value(tmp_path):
+    """The parser is shared by every call in a process; a flag given to
+    one call does not carry over to the next."""
+    from symstep.cli import _build_parser
+
+    args = ["run", "--model", "harmonic", "--scheme", "verlet", "--h", "0.1",
+            "--t_end", "1", "--q0", "1", "--p0", "0"]
+    first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(args + ["--record_stride", "2", "--output", str(first)]) == 0
+    assert main(args + ["--output", str(second)]) == 0
+    assert read_csv(first)[1].shape[0] == 6
+    assert read_csv(second)[1].shape[0] == 11
+    assert _build_parser() is _build_parser()
+
+
 # -------------------------------------------------------------- exit codes
 
 def test_usage_error_exit_1(capsys):

@@ -5,6 +5,7 @@ import numpy.testing as npt
 import pytest
 
 import symstep as ss
+from symstep.diagnostics import energy_series
 
 
 @pytest.fixture
@@ -50,6 +51,54 @@ def test_energy_drift_printed_harmonic_grows(harmonic):
     assert np.all(np.diff(envelope) > -1e-12)
 
 
+def _energy_series_per_record(traj, model):
+    """energy_series as it was: model.value, with its checks, per record."""
+    kinetic = 0.5 * np.sum(traj.p * traj.p / model.mass, axis=1)
+    return kinetic + np.array([model.value(q) for q in traj.q])
+
+
+@pytest.mark.parametrize("name,dim,variant,h", [
+    ("kepler", 2, "s3-corrected", 0.05),
+    ("harmonic", 3, "verlet", 0.1),
+    ("lj-cluster", 12, "s3-generating", 0.005),
+])
+def test_energy_series_equals_per_record_values_bitwise(name, dim, variant, h):
+    from test_models import lj_square
+
+    model = ss.make_model(name, dimension=dim)
+    q0 = {"kepler": [0.7, 0.0], "harmonic": [1.0, -0.5, 0.2],
+          "lj-cluster": lj_square(jitter=0.02)}[name]
+    p0 = np.linspace(-0.3, 1.3, dim)
+    traj = ss.integrate(model, variant, ss.PhaseState(q0, p0), h, 60,
+                        record_stride=3)
+    assert not traj.failed
+    got = energy_series(traj, model)
+    assert got.tobytes() == _energy_series_per_record(traj, model).tobytes()
+
+
+def test_energy_series_names_the_first_singular_record(kepler):
+    """One check for the whole series raises the SingularityError that
+    model.value raises at the first singular record."""
+    traj = ss.integrate(kepler, "verlet", ss.PhaseState(*ss.kepler_start(0.3)),
+                        0.1, 10)
+    traj.q[4] = (0.0, 0.0)
+    traj.q[7] = (0.0, 0.0)
+    traj.q[2] = (-0.0, 0.0)
+    with pytest.raises(ss.SingularityError) as expected:
+        kepler.value(traj.q[2])
+    with pytest.raises(ss.SingularityError) as err:
+        energy_series(traj, kepler)
+    assert str(err.value) == str(expected.value)
+    assert "q=[-0.  0.]" in str(err.value)
+
+
+def test_energy_series_checks_the_dimension(kepler):
+    traj = ss.integrate(ss.make_model("harmonic", dimension=3), "verlet",
+                        ss.PhaseState(np.ones(3), np.zeros(3)), 0.1, 4)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        energy_series(traj, kepler)
+
+
 def test_drift_series_halves_split():
     times = np.arange(5.0)
     values = np.array([0.0, 1.0, -3.0, 0.5, 2.0])
@@ -85,6 +134,24 @@ def test_reversibility_failure_names_the_leg(kepler):
     with pytest.raises(ss.StepError, match="forward leg"):
         ss.reversibility_error("s3-corrected", kepler, s, 0.05, 10,
                                solver_cfg=cfg)
+
+
+def test_reversibility_from_a_recorded_forward_leg(kepler):
+    """A run at any record stride serves as the forward leg: the same
+    steps, so bitwise the same distance, and a failed run names its step."""
+    s = ss.PhaseState(*ss.kepler_start(0.3))
+    e = ss.reversibility_error("s3-corrected", kepler, s, 0.05, 120)
+    for stride in (1, 8, 120):
+        fwd = ss.integrate(kepler, "s3-corrected", s, 0.05, 120,
+                           record_stride=stride)
+        assert ss.reversibility_error("s3-corrected", kepler, s, 0.05, 120,
+                                      forward=fwd) == e
+    cfg = ss.SolverConfig(tolerance=1e-30, max_iterations=2)
+    fwd = ss.integrate(kepler, "s3-corrected", s, 0.05, 10, solver_cfg=cfg)
+    with pytest.raises(ss.StepError,
+                       match=f"forward leg failed at step {fwd.failed_step}$"):
+        ss.reversibility_error("s3-corrected", kepler, s, 0.05, 10,
+                               solver_cfg=cfg, forward=fwd)
 
 
 # ------------------------------------------------------------ symplecticity

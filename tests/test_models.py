@@ -101,6 +101,23 @@ def test_kepler_hessian_at_unit_x():
                         [[-2.0, 0.0], [0.0, 1.0]], rtol=0, atol=1e-15)
 
 
+def test_kepler_hessian_equals_the_array_form_bitwise():
+    """The Python-float Hessian rounds as the array expression does, at
+    random q over twenty decades, at signed zeros, at the origin (NaN),
+    where r^3 or r^5 underflow (numpy's division by zero) and where r^2
+    overflows."""
+    from reference_kernels import kepler_hessian_array
+
+    m = ss.make_model("kepler")
+    rng = np.random.default_rng(2016)
+    qs = rng.normal(size=(2000, 2)) * 10.0 ** rng.uniform(-10, 10, size=(2000, 2))
+    edge = [[0.0, 0.0], [-0.0, 0.0], [0.0, -2.0], [-3.0, 0.0], [1e-160, 0.0],
+            [1e-70, -1e-70], [3e-65, 1e-64], [1e200, 1.0], [1e155, -1e155]]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for q in np.concatenate([qs, edge]):
+            assert m._hessian(q).tobytes() == kepler_hessian_array(q).tobytes(), q
+
+
 def test_free_hessian_is_zero_matrix():
     m = ss.make_model("free", dimension=2)
     npt.assert_array_equal(ss.potential_hessian(m, [0.3, -0.7]), np.zeros((2, 2)))

@@ -275,3 +275,117 @@ def test_zero_diagonal_at_neumann_size_is_singular():
                                     np.zeros(24), ss.SolverConfig())
     assert report.cause == CAUSE_SINGULAR_JACOBIAN
     assert report.iterations == 0
+
+# ------------------------------------------------------ small-d fast paths
+
+SPECIAL = [0.0, -0.0, 5e-324, -2.5e-310, 1.7e308, -1.7e308, 1.0, -3.5]
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_norm_equals_numpy_bitwise(d):
+    """_norm on Python floats returns float(abs(v).max()) bit for bit: on
+    signed zeros, subnormals, finite entries whose sum overflows, and with
+    +-inf or NaN at every position, where numpy's NaN must come back."""
+    rng = np.random.default_rng(d)
+    vectors = [rng.choice(SPECIAL, size=d) for _ in range(200)]
+    vectors += [rng.normal(size=d) * 10.0 ** rng.integers(-300, 300, size=d)
+                for _ in range(200)]
+    vectors += [np.zeros(d), -np.zeros(d), np.full(d, 1.7e308)]
+    for bad in (np.inf, -np.inf, np.nan):
+        for i in range(d):
+            v = rng.normal(size=d)
+            v[i] = bad
+            vectors.append(v)
+    for v in vectors:
+        got = solvers._norm(v)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(abs(v).max()).tobytes(), v
+    assert solvers._norm(np.zeros(0)) == 0.0
+
+
+def test_newton_does_not_converge_on_a_trailing_nan():
+    """The first update lands on the root of the first two entries while
+    the last one turns NaN there: a norm that skipped the NaN would read 0
+    and report convergence."""
+    def residual(x):
+        r = x - 1.0
+        if x[2] != 0.0:
+            r[2] = np.nan
+        return r
+
+    x, report = ss.solve_newton(residual, lambda x: np.eye(3), np.zeros(3),
+                                ss.SolverConfig(max_iterations=3))
+    assert not report.converged
+    assert report.cause == CAUSE_MAX_ITERATIONS
+    npt.assert_array_equal(x, np.zeros(3))
+    x, report = ss.solve_newton(lambda x: np.array([0.0, np.nan]),
+                                lambda x: np.eye(2), np.zeros(2),
+                                ss.SolverConfig())
+    assert (report.converged, report.cause) == (False, CAUSE_NON_FINITE)
+
+
+def _lapack_minus_inverse(J):
+    try:
+        return -np.linalg.inv(J)
+    except np.linalg.LinAlgError:
+        return None
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_closed_form_inverse_matches_lapack(d):
+    """-J^-1 on Python floats agrees with LAPACK's to a few ulp times the
+    condition number, over conditions up to 1e8 and twelve decades of
+    scale, and is exactly -1/J_ii on a diagonal J."""
+    rng = np.random.default_rng(18 + d)
+    eps = np.finfo(float).eps
+    for _ in range(3000):
+        J = rng.normal(size=(d, d)) * 10.0 ** rng.uniform(-6, 6)
+        cond = np.linalg.cond(J)
+        if cond > 1e8:
+            continue
+        K, L = solvers._minus_inverse(J), -np.linalg.inv(J)
+        assert np.abs(K - L).max() <= 4.0 * eps * cond * np.abs(L).max(), J
+        D = np.diag(J.diagonal())
+        npt.assert_array_equal(solvers._minus_inverse(D), np.diag(-1.0 / J.diagonal()))
+
+
+@pytest.mark.parametrize("J", [
+    [[0.0]], [[1.0, 2.0], [2.0, 4.0]], [[0.0, 1.0], [0.0, 1.0]],
+    [[0.0, 0.0], [0.0, 0.0]], [[np.nan]], [[np.inf]], [[5e-324]],
+    [[np.nan, 1.0], [1.0, 1.0]], [[np.inf, 1.0], [1.0, 1.0]],
+    [[1e-200, 0.0], [0.0, 1e-200]], [[1e200, 1e200], [1e200, 2e200]],
+    [[3.0, 1.0], [1.0, 1.0 / 3.0]], [[1.0, np.nan], [0.5, 1.0]],
+    [[2.0, 1.0], [0.5, np.inf]], [[2.0, np.inf], [0.0, 1.0]],
+    [[2.0, np.inf], [0.5, 1.0]], [[np.inf, np.inf], [1.0, 1.0]],
+    [[-np.inf, 1.0], [np.inf, 1.0]], [[1.0, 2.0], [np.nan, 1.0]],
+    [[1e-310, 0.0], [0.0, 1.0]],
+], ids=str)
+def test_closed_form_inverse_keeps_lapack_outcome_at_the_edges(J):
+    """Singular, non-finite, subnormal and overflowing J give what
+    numpy.linalg.inv gives: None where it raises, its values otherwise."""
+    J = np.array(J)
+    with np.errstate(all="ignore"):
+        K, L = solvers._minus_inverse(J), _lapack_minus_inverse(J)
+    if L is None:
+        assert K is None
+    else:
+        npt.assert_array_equal(K, L)
+
+
+def test_closed_form_inverse_is_none_wherever_lapack_raises():
+    """2 x 2 matrices whose second LU pivot is rounded to zero: LAPACK
+    raises on them although a e - b c is often a nonzero round-off."""
+    rng = np.random.default_rng(7)
+    raised = 0
+    for _ in range(3000):
+        a, b, c = rng.normal(size=3) * 10.0 ** rng.uniform(-3, 3, size=3)
+        if abs(c) > abs(a):
+            a, c = c, a
+        for J in ([[a, b], [c, (c / a) * b]], [[c, (c / a) * b], [a, b]],
+                  [[a, c], [b, (c / a) * b]]):
+            J = np.array(J)
+            L = _lapack_minus_inverse(J)
+            raised += L is None
+            if L is None:
+                assert solvers._minus_inverse(J) is None, J
+    assert raised > 1000
