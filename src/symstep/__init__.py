@@ -12,12 +12,10 @@ from .diagnostics import (DriftSeries, OrderEstimate, analytic_reference,
                           reversibility_error, symplecticity_defect)
 from .integrators import (SchemeVariant, StepError, StepResult, Trajectory,
                           as_variant, build_step_system, integrate,
-                          s3_momentum_update, s3_step, step, step_action,
-                          verlet_step)
+                          s3_momentum_update, step, step_action)
 from .models import (DerivativeReport, EnergyValue, PhaseState,
                      PotentialModel, SingularityError, hamiltonian_energy,
-                     make_model, potential_gradient, potential_hessian,
-                     potential_value, validate_derivatives)
+                     make_model, validate_derivatives)
 from .solvers import SolverConfig, SolverReport, solve_newton
 
 __version__ = "0.1.0"
@@ -51,17 +49,12 @@ __all__ = [
     "make_model",
     "map_symplecticity_defect",
     "parse_config",
-    "potential_gradient",
-    "potential_hessian",
-    "potential_value",
     "reversibility_error",
     "s3_momentum_update",
-    "s3_step",
     "solve_newton",
     "step",
     "step_action",
     "symplecticity_defect",
     "validate_derivatives",
-    "verlet_step",
     "__version__",
 ]

@@ -15,15 +15,14 @@ H = p^T M^{-1} p / 2 + V(q):
       R(x) = M D / h + (h/12)(ca g(a) + cx g(x)) + (h/12) cb Hs(a) D - p = 0
       p'   = M D / h + (h/12)(-cx g(a) - ca g(x)) + (h/12) cb Hs(x) D
 
-  The three shipped variants differ only in the triple:
+  Each variant is fixed by the two signs (sv, sg) of the action S(a, x)
+  that generates it (:func:`step_action`): p = -dS/da and p' = dS/dx give
+  (ca, cx, cb) = (-6 sv - sg, sg, sg), with (sv, sg) = (+1, -1) for
+  s3-printed, (-1, -1) for s3-generating and (-1, +1) for s3-corrected.
+  Velocity Verlet is the (-1, 0) member, (ca, cx, cb) = (6, 0, 0).
 
-      s3-printed     (ca, cx, cb) = (-5, -1, -1)
-      s3-generating  (ca, cx, cb) = (+7, -1, -1)
-      s3-corrected   (ca, cx, cb) = (+5, +1, +1)
-
-  Every variant is exactly symplectic (each is generated by a scalar
-  two-point action, see :func:`step_action`) and self-adjoint: swapping the
-  roles of the endpoints and negating h maps the pair of relations onto
+  Every variant is therefore exactly symplectic and self-adjoint: swapping
+  the roles of the endpoints and negating h maps the pair of relations onto
   itself, which is visible above as the coefficient swap (ca, cx) ->
   (-cx, -ca) between R and p'.  s3-corrected and s3-generating track the
   flow of H; s3-printed is the corrected map applied to -V, so it conserves
@@ -72,14 +71,8 @@ class SchemeVariant(str, enum.Enum):
         return self.value
 
 
-_S3_COEFFS = {
-    SchemeVariant.S3_PRINTED: (-5.0, -1.0, -1.0),
-    SchemeVariant.S3_GENERATING: (7.0, -1.0, -1.0),
-    SchemeVariant.S3_CORRECTED: (5.0, 1.0, 1.0),
-}
-
-# scalar action S(a, x): kinetic + sv*(h/2)(V(a)+V(x)) + sg*(h/12)(g(x)-g(a)).D
-_S3_ACTION_SIGNS = {
+# the action signs (sv, sg) of each s3 variant (module docstring)
+_S3_SIGNS = {
     SchemeVariant.S3_PRINTED: (1.0, -1.0),
     SchemeVariant.S3_GENERATING: (-1.0, -1.0),
     SchemeVariant.S3_CORRECTED: (-1.0, 1.0),
@@ -129,10 +122,6 @@ class Trajectory:
 
     def __len__(self):
         return len(self.times)
-
-    @property
-    def states(self):
-        return [PhaseState(self.q[i], self.p[i]) for i in range(len(self.times))]
 
     def final_state(self):
         return PhaseState(self.q[-1], self.p[-1])
@@ -199,7 +188,8 @@ class _Implicit:
     update."""
 
     def __init__(self, variant, model, h, cfg=None):
-        ca, cx, cb = _S3_COEFFS[variant]
+        sv, sg = _S3_SIGNS[variant]
+        ca, cx, cb = -6.0 * sv - sg, sg, sg
         c = h / 12.0
         self.model = model
         self.cfg = cfg if cfg is not None else SolverConfig()
@@ -268,11 +258,6 @@ def _scheme(variant, model, h, cfg):
     return _Implicit(variant, model, h, cfg)
 
 
-def verlet_step(model, s, h):
-    """One velocity Verlet step: p -= h/2 g(a); x = a + h p/M; p -= h/2 g(x)."""
-    return step(SchemeVariant.VERLET, model, s, h)
-
-
 def _require_s3(variant):
     variant = as_variant(variant)
     if variant is SchemeVariant.VERLET:
@@ -290,11 +275,13 @@ def build_step_system(variant, model, s, h):
 
 
 def s3_momentum_update(variant, model, a, x, h):
-    """Explicit momentum relation evaluated at the solved position x."""
+    """Explicit momentum relation evaluated at the solved position x; a and
+    x are validated like any evaluation point (wrong length: ValueError,
+    singular: SingularityError)."""
     scheme = _Implicit(_require_s3(variant), model, _check_h(h))
     a = np.asarray(a, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
-    return scheme.momentum(a, x, model.gradient(a))[0]
+    return scheme.momentum(a, x, model.gradient(a), model.gradient(x))[0]
 
 
 def step_action(variant, model, a, x, h):
@@ -307,7 +294,7 @@ def step_action(variant, model, a, x, h):
     """
     variant = _require_s3(variant)
     h = _check_h(h)
-    sv, sg = _S3_ACTION_SIGNS[variant]
+    sv, sg = _S3_SIGNS[variant]
     a = np.asarray(a, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
     delta = x - a
@@ -317,17 +304,13 @@ def step_action(variant, model, a, x, h):
     return kinetic + pot + corr
 
 
-def s3_step(variant, model, s, h, solver_cfg=None):
-    """One implicit step: solve the position equation (Newton from the start
-    point, keeping J while it contracts), then update the momentum.
+def step(variant, model, s, h, solver_cfg=None):
+    """One step of any variant: velocity Verlet, or an implicit step that
+    solves the position equation (Newton from the start point, keeping J
+    while it contracts) and then updates the momentum.
 
     Raises StepError carrying the SolverReport when the solve fails.
     """
-    return step(_require_s3(variant), model, s, h, solver_cfg)
-
-
-def step(variant, model, s, h, solver_cfg=None):
-    """One step of any variant."""
     scheme = _scheme(as_variant(variant), model, _check_h(h), solver_cfg)
     _check_state(model, s)
     x, pn, _, report = scheme.advance(s.q, s.p, scheme.start(s.q))

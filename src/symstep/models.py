@@ -354,21 +354,6 @@ def make_model(name, dimension=None, mass=None, **parameters):
 MODEL_NAMES = ("free", "harmonic", "kepler", "lj-cluster")
 
 
-def potential_value(model, q):
-    """V(q)."""
-    return model.value(q)
-
-
-def potential_gradient(model, q):
-    """Analytic gradient of V at q."""
-    return model.gradient(q)
-
-
-def potential_hessian(model, q):
-    """Analytic Hessian of V at q (symmetric d x d)."""
-    return model.hessian(q)
-
-
 def hamiltonian_energy(model, s):
     """Total/kinetic/potential energy of a phase state.
 

@@ -84,9 +84,9 @@ def test_criterion_3_unit_step_oracles():
     t0 = time.perf_counter()
     model = ss.make_model("harmonic", dimension=1, omega=1.0)
     s = ss.PhaseState([1.0], [0.0])
-    corrected = ss.s3_step("s3-corrected", model, s, 0.1)
-    generating = ss.s3_step("s3-generating", model, s, 0.1)
-    printed = ss.s3_step("s3-printed", model, s, 0.1)
+    corrected = ss.step("s3-corrected", model, s, 0.1)
+    generating = ss.step("s3-generating", model, s, 0.1)
+    printed = ss.step("s3-printed", model, s, 0.1)
     elapsed = time.perf_counter() - t0
     print(f"criterion 3: q errors {abs(corrected.state.q[0] - 598 / 601):.1e} "
           f"{abs(generating.state.q[0] - 596 / 599):.1e} "

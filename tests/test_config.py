@@ -154,7 +154,7 @@ def test_resolve_harmonic_with_explicit_state():
     model, s0, n_steps, _ = resolve(cfg)
     assert model.dimension == 1
     assert n_steps == 10
-    assert ss.potential_value(model, [1.0]) == pytest.approx(2.0)
+    assert model.value([1.0]) == pytest.approx(2.0)
 
 
 def test_model_without_state_rejected():

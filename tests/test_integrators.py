@@ -31,25 +31,25 @@ def joint_distance(a, b):
 
 def test_verlet_free_particle(harmonic):
     m = ss.make_model("free", dimension=1)
-    r = ss.verlet_step(m, ss.PhaseState([0.3], [0.7]), 0.5)
+    r = ss.step("verlet", m, ss.PhaseState([0.3], [0.7]), 0.5)
     assert r.state.q[0] == pytest.approx(0.65, abs=1e-15)
     assert r.state.p[0] == 0.7
 
 
 def test_verlet_harmonic_hand_values(harmonic):
-    r = ss.verlet_step(harmonic, ss.PhaseState([1.0], [0.0]), 0.1)
+    r = ss.step("verlet", harmonic, ss.PhaseState([1.0], [0.0]), 0.1)
     assert r.state.q[0] == pytest.approx(0.995, abs=1e-16)
     assert r.state.p[0] == pytest.approx(-0.09975, abs=1e-16)
 
 
 def test_verlet_preserves_angular_momentum(kepler):
-    r = ss.verlet_step(kepler, ss.PhaseState([1.0, 0.0], [0.0, 1.0]), 0.1)
+    r = ss.step("verlet", kepler, ss.PhaseState([1.0, 0.0], [0.0, 1.0]), 0.1)
     q, p = r.state.q, r.state.p
     assert q[0] * p[1] - q[1] * p[0] == pytest.approx(1.0, abs=1e-14)
 
 
 def test_verlet_solver_report_is_trivial(harmonic):
-    r = ss.verlet_step(harmonic, ss.PhaseState([1.0], [0.0]), 0.1)
+    r = ss.step("verlet", harmonic, ss.PhaseState([1.0], [0.0]), 0.1)
     assert r.solver.converged
     assert r.solver.iterations == 0
 
@@ -114,18 +114,32 @@ def test_momentum_update_corrected_hand_values(harmonic):
     assert p[0] == pytest.approx(598 / 601, abs=1e-15)
 
 
+def test_momentum_update_checks_the_solved_position(kepler):
+    """x is an evaluation point like a: a singular x raises
+    SingularityError, as step_action does there, and a wrong-length x the
+    models' dimension error, instead of NaN or a raw numpy error."""
+    a = np.array([1.0, 0.0])
+    for operation in (ss.s3_momentum_update, ss.step_action):
+        with pytest.raises(ss.SingularityError):
+            operation("s3-corrected", kepler, a, [0.0, 0.0], 0.1)
+    lj = ss.make_model("lj-cluster", dimension=6)
+    for model, a in ((kepler, a), (lj, np.array([0.0, 0, 0, 1.1, 0, 0]))):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            ss.s3_momentum_update("s3-corrected", model, a, np.append(a, 0.5), 0.1)
+
+
 # ----------------------------------------------------------------- s3 steps
 
 def test_corrected_step_free_exact():
     m = ss.make_model("free", dimension=1)
-    r = ss.s3_step("s3-corrected", m, ss.PhaseState([0.3], [0.7]), 0.5)
+    r = ss.step("s3-corrected", m, ss.PhaseState([0.3], [0.7]), 0.5)
     assert r.state.q[0] == pytest.approx(0.65, abs=1e-15)
     # momentum is recomputed as M(x - a)/h, so it carries the same roundoff
     assert r.state.p[0] == pytest.approx(0.7, abs=1e-15)
 
 
 def test_corrected_step_harmonic_sine_start(harmonic):
-    r = ss.s3_step("s3-corrected", harmonic, ss.PhaseState([0.0], [1.0]), 0.1)
+    r = ss.step("s3-corrected", harmonic, ss.PhaseState([0.0], [1.0]), 0.1)
     assert r.state.q[0] == pytest.approx(60 / 601, abs=1e-15)
     assert r.state.p[0] == pytest.approx(598 / 601, abs=1e-15)
     # one step of the exact flow for scale: sin(0.1), cos(0.1)
@@ -133,22 +147,14 @@ def test_corrected_step_harmonic_sine_start(harmonic):
 
 
 def test_printed_step_moves_away_from_equilibrium(harmonic):
-    r = ss.s3_step("s3-printed", harmonic, ss.PhaseState([1.0], [0.0]), 0.1)
+    r = ss.step("s3-printed", harmonic, ss.PhaseState([1.0], [0.0]), 0.1)
     assert r.state.q[0] == pytest.approx(602 / 599, abs=1e-15)
     assert r.state.p[0] == pytest.approx(0.1002504, abs=1e-7)
     assert r.state.q[0] > 1.0 and r.state.p[0] > 0.0
 
 
-def test_step_dispatch_matches_specific_entry_points(harmonic):
-    s = ss.PhaseState([0.4], [-0.2])
-    v = ss.step("verlet", harmonic, s, 0.1)
-    assert v.state == ss.verlet_step(harmonic, s, 0.1).state
-    c = ss.step(ss.SchemeVariant.S3_CORRECTED, harmonic, s, 0.1)
-    assert c.state == ss.s3_step("s3-corrected", harmonic, s, 0.1).state
-
-
 def test_newton_converges_in_one_iteration_on_quadratic(harmonic):
-    r = ss.s3_step("s3-corrected", harmonic, ss.PhaseState([1.0], [0.0]), 0.1)
+    r = ss.step("s3-corrected", harmonic, ss.PhaseState([1.0], [0.0]), 0.1)
     assert r.solver.converged
     assert r.solver.iterations <= 1
     # d = 24 with random masses: the diagonal J(a) is inverted without
@@ -165,7 +171,7 @@ def test_newton_converges_in_one_iteration_on_quadratic(harmonic):
                                ss.SolverConfig(max_iterations=1))
     assert first.iterations == 1
     assert first.final_residual_norm <= ss.SolverConfig().tolerance
-    r = ss.s3_step("s3-corrected", wide, s, 0.1)
+    r = ss.step("s3-corrected", wide, s, 0.1)
     assert r.solver.converged
     assert r.solver.iterations <= 2
 
@@ -175,7 +181,7 @@ def test_step_momentum_is_the_momentum_update(kepler):
     the step reuses the g(x) its residual computed at the last iterate."""
     s = ss.PhaseState(*ss.kepler_start(0.3))
     for variant in S3_VARIANTS:
-        r = ss.s3_step(variant, kepler, s, 0.05)
+        r = ss.step(variant, kepler, s, 0.05)
         npt.assert_array_equal(
             r.state.p, ss.s3_momentum_update(variant, kepler, s.q, r.state.q, 0.05))
 
@@ -192,23 +198,31 @@ def test_time_symmetry_single_step(kepler):
 def test_invalid_h_rejected(harmonic):
     s = ss.PhaseState([1.0], [0.0])
     with pytest.raises(ValueError):
-        ss.verlet_step(harmonic, s, 0.0)
+        ss.step("verlet", harmonic, s, 0.0)
     with pytest.raises(ValueError):
-        ss.s3_step("s3-corrected", harmonic, s, np.inf)
+        ss.step("s3-corrected", harmonic, s, np.inf)
 
 
 def test_unknown_variant_rejected(harmonic):
     with pytest.raises(ValueError):
         ss.step("rk4", harmonic, ss.PhaseState([1.0], [0.0]), 0.1)
-    with pytest.raises(ValueError):
-        ss.s3_step("verlet", harmonic, ss.PhaseState([1.0], [0.0]), 0.1)
+
+
+@pytest.mark.parametrize("operation", [
+    lambda m, s: ss.build_step_system("verlet", m, s, 0.1),
+    lambda m, s: ss.s3_momentum_update("verlet", m, s.q, s.q, 0.1),
+    lambda m, s: ss.step_action("verlet", m, s.q, s.q, 0.1),
+], ids=["build_step_system", "s3_momentum_update", "step_action"])
+def test_s3_operations_reject_verlet(harmonic, operation):
+    with pytest.raises(ValueError, match="verlet is explicit"):
+        operation(harmonic, ss.PhaseState([1.0], [0.0]))
 
 
 def test_step_failure_raises_with_report(kepler):
     s = ss.PhaseState([1.0, 0.0], [0.0, 1.0])
     cfg = ss.SolverConfig(tolerance=1e-30, max_iterations=3)
     with pytest.raises(ss.StepError) as err:
-        ss.s3_step("s3-corrected", kepler, s, 0.01, cfg)
+        ss.step("s3-corrected", kepler, s, 0.01, cfg)
     assert not err.value.report.converged
     assert err.value.report.iterations == 3
 
@@ -258,7 +272,7 @@ def test_step_into_singularity_raises(kepler):
     # x = q + h (p - (h/2) g(q)) with g((1,0)) = (1,0)
     s = ss.PhaseState([1.0, 0.0], [-9.95, 0.0])
     with pytest.raises(ss.SingularityError):
-        ss.verlet_step(kepler, s, 0.1)
+        ss.step("verlet", kepler, s, 0.1)
 
 
 @pytest.mark.parametrize("variant", S3_VARIANTS)
@@ -273,7 +287,7 @@ def test_singular_start(case, variant):
         q[3:6] = [1.1, 0.0, 0.0]  # atoms 0 and 2 coincide at the origin
     s = ss.PhaseState(q, np.full(q.size, 0.1))
     with pytest.raises(ss.SingularityError):
-        ss.s3_step(variant, model, s, 0.01)
+        ss.step(variant, model, s, 0.01)
     traj = ss.integrate(model, variant, s, 0.01, 5)
     assert traj.failed_step == 1
     assert traj.failure.cause == "non_finite"
@@ -288,7 +302,7 @@ def test_step_action_derivatives_recover_momenta(harmonic):
     s = ss.PhaseState(a, np.array([0.0]))
     h, eps = 0.1, 1e-6
     for variant in S3_VARIANTS:
-        r = ss.s3_step(variant, harmonic, s, h)
+        r = ss.step(variant, harmonic, s, h)
         x = r.state.q
         dSda = (ss.step_action(variant, harmonic, a + eps, x, h)
                 - ss.step_action(variant, harmonic, a - eps, x, h)) / (2 * eps)
@@ -614,7 +628,7 @@ def test_chord_step_matches_full_newton(case):
     Newton, an LU solve per iterate, on the build_step_system closures,
     started from the Verlet predictor, plus s3_momentum_update: both solve
     the same equation to round-off."""
-    from reference_kernels import newton_lu
+    from reference_loops import newton_lu
 
     rng = np.random.default_rng(17)
     worst = 0.0
@@ -665,6 +679,52 @@ def test_stability_printed_unstable(h):
     T = transfer_matrix("s3-printed", h)
     assert abs(np.linalg.det(T) - 1.0) <= 1e-12
     assert abs(np.trace(T)) / 2 > 1
+
+
+def test_action_signs_derive_the_coefficient_triple():
+    """For a general V (d = 1), the action with signs (sv, sg) gives
+    -dS/da = R + p and dS/dx = p' with (ca, cx, cb) = (-6 sv - sg, sg, sg).
+    On the unit oscillator its step matrix has det 1 and trace
+    2 (6 + (3 sv + sg) z^2) / (6 + sg z^2), z = h; at sv = -1 the trace
+    reaches -2 at z*^2 = 12 / (3 - 2 sg), the edges that
+    test_stability_interval_edge checks.  The step matrix that step() gives
+    at z = 0.1 matches the symbolic one for every variant, Verlet as the
+    (-1, 0) member."""
+    import sympy as sp
+    from symstep.integrators import _S3_SIGNS
+
+    a, x, p, h, M, z, sv, sg = sp.symbols("a x p h M z s_v s_g", real=True)
+
+    def action(V, h, M):
+        """step_action's S(a, x) in one dimension."""
+        D = x - a
+        return (M * D ** 2 / (2 * h) + sv * (h / 2) * (V(a) + V(x))
+                + sg * (h / 12) * (sp.diff(V(x), x) - sp.diff(V(a), a)) * D)
+
+    V = sp.Function("V")
+    g, Hs = (lambda q: sp.diff(V(q), q)), (lambda q: sp.diff(V(q), q, 2))
+    ca, cx, cb = -6 * sv - sg, sg, sg
+    S = action(V, h, M)
+    R_plus_p = M * (x - a) / h + h / 12 * (ca * g(a) + cx * g(x) + cb * Hs(a) * (x - a))
+    p_new = M * (x - a) / h + h / 12 * (-cx * g(a) - ca * g(x) + cb * Hs(x) * (x - a))
+    assert sp.expand(-sp.diff(S, a) - R_plus_p) == 0
+    assert sp.expand(sp.diff(S, x) - p_new) == 0
+
+    S = action(lambda q: q ** 2 / 2, z, 1)
+    x_new = sp.solve(sp.Eq(p, -sp.diff(S, a)), x)[0]
+    T = sp.Matrix([x_new, sp.diff(S, x).subs(x, x_new)]).jacobian([a, p])
+    assert sp.simplify(T.det() - 1) == 0
+    trace = 2 * (6 + (3 * sv + sg) * z ** 2) / (6 + sg * z ** 2)
+    assert sp.simplify(T.trace() - trace) == 0
+    edge = sp.solve(sp.Eq(trace.subs(sv, -1), -2), z ** 2)
+    assert [sp.simplify(e - 12 / (3 - 2 * sg)) for e in edge] == [0]
+
+    signs = {ss.SchemeVariant.VERLET: (-1, 0), **_S3_SIGNS}
+    assert set(signs) == set(ss.SchemeVariant)
+    for variant, (v, w) in signs.items():
+        want = np.array(T.subs({sv: v, sg: w, z: 0.1}).evalf(30), dtype=float)
+        npt.assert_allclose(transfer_matrix(variant, 0.1), want,
+                            rtol=0, atol=1e-14, err_msg=str(variant))
 
 
 @pytest.mark.parametrize("h", [0.1, 0.05, 0.025])
@@ -741,9 +801,18 @@ def test_trajectory_metadata(kepler):
     assert traj.variant == ss.SchemeVariant.S3_CORRECTED
     assert traj.h == 0.05
     assert traj.initial_energy.total == pytest.approx(-0.5, abs=1e-12)
-    states = traj.states
+    states = [ss.PhaseState(q, p) for q, p in zip(traj.q, traj.p)]
     assert len(states) == 11
     assert states[0] == s
+
+
+def test_every_export_resolves():
+    """No name in __all__ outlives the object it names."""
+    missing = [name for name in ss.__all__ if not hasattr(ss, name)]
+    assert missing == []
+    namespace = {}
+    exec("from symstep import *", namespace)
+    assert set(ss.__all__) <= set(namespace)
 
 
 def test_as_variant_accepts_names_and_members():

@@ -1,5 +1,6 @@
-"""The array LJ value, gradient and Hessian and the LAPACK inverse against
-their scalar-loop references, and the LJ model's memo of pair terms."""
+"""The LJ model's pair-list array kernels (value, gradient, Hessian) and the
+solver's LAPACK inverse against their scalar-loop references in
+``reference_loops``, and the LJ model's memo of pair terms."""
 
 import numpy as np
 import numpy.testing as npt
@@ -7,8 +8,8 @@ import pytest
 
 import symstep as ss
 from symstep import solvers
-from reference_kernels import (gauss_solve, lj_gradient_loop, lj_hessian_loop,
-                               lj_value_loop)
+from reference_loops import (gauss_solve, lj_gradient_loop, lj_hessian_loop,
+                             lj_value_loop)
 from test_acceptance import lj_lattice
 
 
@@ -31,10 +32,10 @@ def test_lj_hessian_matches_loop_reference(n_atoms, seed, eps, sig):
     model = ss.make_model("lj-cluster", dimension=3 * n_atoms,
                           epsilon=eps, sigma=sig)
     q = sig * lj_cluster(n_atoms, seed)
-    for evaluate, reference in ((ss.potential_value, lj_value_loop),
-                                (ss.potential_gradient, lj_gradient_loop),
-                                (ss.potential_hessian, lj_hessian_loop)):
-        assert rel_err(evaluate(model, q), reference(eps, sig, q)) <= 1e-13
+    for evaluate, reference in ((model.value, lj_value_loop),
+                                (model.gradient, lj_gradient_loop),
+                                (model.hessian, lj_hessian_loop)):
+        assert rel_err(evaluate(q), reference(eps, sig, q)) <= 1e-13
 
 
 def test_lj_hessian_coincident_atoms_is_singular():
