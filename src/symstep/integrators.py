@@ -32,21 +32,18 @@ H = p^T M^{-1} p / 2 + V(q):
 
 Every model, built-in or custom, runs on one engine.  A scheme object built
 once per call (or per ``integrate`` run) holds the per-run constants and
-steps raw arrays through the model's ``_gradient``/``_hessian`` hooks; each
-implicit step solves through :func:`solve_newton`.  It starts at x = a,
-where R(a) = (h/12)(ca + cx) g(a) - p needs no new evaluation, with
-J(a) = M/h + (h/12)(cb + cx) Hs(a) inverted once (on Python floats at d <= 2;
-see solvers._minus_inverse) and kept while the residual at least halves per
-update.  Its first update is exact when R is affine (quadratic potentials)
-and O(h^4) accurate otherwise, and it stops only once x is at round-off.
-An update that does not halve the residual re-inverts J, and a residual
-stalled at its round-off floor above the tolerance fails the step at once
-(see :func:`solve_newton`).  The momentum update reuses the g(x) that the
-residual computed at the last iterate, and a trajectory reuses each step's
-end evaluations as the next step's start, so an implicit step with k
-updates makes k gradient and 1 Hessian evaluation and one inversion of
-J(a), and one more Hessian and inversion per refresh.  The public functions
-check the state and the hooks' output at the start state only.
+steps through the model's ``_gradient``/``_hessian`` hooks, on arrays, or
+at d <= 2 on Python floats (the hooks still get arrays).  An implicit step
+runs the Newton loop of :func:`solve_newton` from x = a, where R(a) =
+(h/12)(ca + cx) g(a) - p needs no new evaluation, with J(a) = M/h + (h/12)
+(cb + cx) Hs(a) inverted once and kept while the residual at least halves
+per update; its first update is exact when R is affine (quadratic
+potentials) and O(h^4) accurate otherwise.  The momentum update reuses the
+residual's last g(x), and a trajectory reuses each step's end evaluations
+as the next step's start: a step with k updates makes k gradient and 1
+Hessian evaluation and one inversion of J(a), plus one Hessian and
+inversion per refresh.  The public functions compute as a step does, and
+check their evaluation points.
 """
 
 import enum
@@ -57,8 +54,8 @@ from typing import Optional
 import numpy as np
 
 from .models import PhaseState, SingularityError, hamiltonian_energy
-from .solvers import (CAUSE_NON_FINITE, IDENTITY_REPORT, SolverConfig,
-                      SolverReport, solve_newton)
+from .solvers import (ARRAY_OPS, CAUSE_NON_FINITE, FLOAT_OPS, IDENTITY_REPORT,
+                      SolverConfig, SolverReport, float_update, newton_loop)
 
 
 class SchemeVariant(str, enum.Enum):
@@ -179,13 +176,14 @@ class _Verlet:
 
 
 class _Implicit:
-    """One s3 variant on one model at step h.  It holds the per-run
-    constants diag(M/h) and (h/12)(ca, cx, cb), and its ``ev`` is
-    (g, Hs, J0 = M/h + (h/12) cb Hs) at the start state (see
-    :class:`_Verlet`): the momentum update forms J0 at x, and the next step
-    reuses it in R and in J(a) = J0 + (h/12) cx Hs(a).  Within a step, the
-    residual keeps its last (x, g(x)) in ``_residual_at`` for the momentum
-    update."""
+    """One s3 variant on one model at step h, on arrays.  It holds diag(M/h)
+    and (h/12)(ca, cx, cb); its ``ev`` is (g, Hs, J0 = M/h + (h/12) cb Hs)
+    at the start state (see :class:`_Verlet`).  The momentum update forms J0
+    at x, and the next step reuses it in R and in J(a) = J0 + (h/12) cx
+    Hs(a).  The residual keeps its last (x, g(x)) in ``_residual_at`` for
+    the momentum update."""
+
+    floats, ops = False, ARRAY_OPS
 
     def __init__(self, variant, model, h, cfg=None):
         sv, sg = _S3_SIGNS[variant]
@@ -193,30 +191,32 @@ class _Implicit:
         c = h / 12.0
         self.model = model
         self.cfg = cfg if cfg is not None else SolverConfig()
-        self.Mh = np.diag(model.mass / h)
+        Mh = np.diag(model.mass / h)
+        self.Mh = Mh.ravel().tolist() if self.floats else Mh
         self.cca, self.ccx, self.ccb = c * ca, c * cx, c * cb
         self._residual_at = None, None
+        self.hooks = model._gradient, model._hessian
 
     def start(self, q):
         g, H = self.model.gradient(q), self.model.hessian(q)
         return g, H, self.Mh + self.ccb * H
 
-    def system(self, a, p, ga, J0):
-        """Residual and Jacobian of the position equation,
-        R(x) = J0 (x - a) + (h/12) cx g(x) + (h/12) ca g(a) - p with
-        J0 = M/h + (h/12) cb Hs(a)."""
+    def system(self, a, p, ga, Ha, J0, gradient, hessian):
+        """R(x) = J0 (x - a) + (h/12) cx g(x) + (h/12) ca g(a) - p, with J0 =
+        M/h + (h/12) cb Hs(a), and its Jacobian as closures through the given
+        g and Hs, plus R(a) and J(a)."""
         base = self.cca * ga - p
-        ccx, model = self.ccx, self.model
+        ccx = self.ccx
 
         def residual(x):
-            g = model._gradient(x)
+            g = gradient(x)
             self._residual_at = x, g
             return J0.dot(x - a) + ccx * g + base
 
         def jacobian(x):
-            return J0 + ccx * model._hessian(x)
+            return J0 + ccx * hessian(x)
 
-        return residual, jacobian
+        return residual, jacobian, (self.cca + ccx) * ga - p, J0 + ccx * Ha
 
     def momentum(self, a, x, ga, gx=None):
         """p' and the evaluations (g, Hs, M/h + (h/12) cb Hs) at x, which
@@ -230,12 +230,9 @@ class _Implicit:
         return pn, (gx, Hx, J0)
 
     def advance(self, a, p, ev):
-        ga, Ha, J0 = ev
-        residual, jacobian = self.system(a, p, ga, J0)
-        # from x = a, with j0 = J(a) (module docstring)
-        x, report = solve_newton(residual, jacobian, a, self.cfg,
-                                 r0=(self.cca + self.ccx) * ga - p,
-                                 j0=J0 + self.ccx * Ha)
+        # from x = a, with r0 = R(a) and j0 = J(a) (module docstring)
+        residual, jacobian, r0, j0 = self.system(a, p, *ev, *self.hooks)
+        x, report = newton_loop(residual, jacobian, a, self.cfg, r0, j0, self.ops)
         if not report.converged:
             raise StepError(
                 f"implicit step failed ({report.cause}) after {report.iterations} "
@@ -245,17 +242,70 @@ class _Implicit:
         # its residual came from r0 and never reached the closure
         x_r, g_r = self._residual_at
         self._residual_at = None, None
-        pn, ev = self.momentum(a, x, ga, g_r if x is x_r else None)
-        if not _finite(pn):
+        pn, ev = self.momentum(a, x, ev[0], g_r if x is x_r else None)
+        if not all(map(math.isfinite, pn if self.floats else pn.tolist())):
             raise StepError("momentum update produced a non-finite value",
                             replace(report, converged=False, cause=CAUSE_NON_FINITE))
         return x, pn, ev, report
 
 
-def _scheme(variant, model, h, cfg):
+class _FloatImplicit(_Implicit):
+    """The same step at d <= 2 on Python floats (a matrix as the flat list of
+    its rows; the hooks get arrays), rounding as the array one does except
+    where BLAS fuses a multiply-add in a matrix-vector product."""
+
+    floats, ops = True, FLOAT_OPS
+
+    def start(self, q):
+        g, H = self.model.gradient(q).tolist(), self.model.hessian(q).ravel().tolist()
+        return g, H, [m + self.ccb * v for m, v in zip(self.Mh, H)]
+
+    def system(self, a, p, ga, Ha, J0, gradient, hessian):
+        ccx = self.ccx
+        base = [self.cca * g - v for g, v in zip(ga, p)]
+        # at d = 1 the second row and entries are copies that are never read
+        (j00, j01, j10, j11), (a0, a1), (b0, b1) = (
+            (J0, a, base) if len(a) == 2 else (J0 * 4, a * 2, base * 2))
+
+        def residual(x):
+            g = gradient(np.array(x)).tolist()
+            self._residual_at = x, g
+            if len(g) == 1:
+                return (j00 * (x[0] - a0) + ccx * g[0] + b0,)
+            u0, u1 = x[0] - a0, x[1] - a1
+            return (j00 * u0 + j01 * u1 + ccx * g[0] + b0,
+                    j10 * u0 + j11 * u1 + ccx * g[1] + b1)
+
+        def jacobian(x):
+            return [u + ccx * v for u, v in zip(J0, hessian(np.array(x)).ravel().tolist())]
+
+        return (residual, jacobian, [(self.cca + ccx) * g - v for g, v in zip(ga, p)],
+                [u + ccx * v for u, v in zip(J0, Ha)])
+
+    def momentum(self, a, x, ga, gx=None):
+        ccx, cca, xa = self.ccx, self.cca, np.array(x)
+        if gx is None:
+            gx = self.model._gradient(xa).tolist()
+        Hx = self.model._hessian(xa).ravel().tolist()
+        J0 = [m + self.ccb * v for m, v in zip(self.Mh, Hx)]
+        # J0 (x - a) - w, as the update of -w by J0 (x - a)
+        _, pn = float_update(J0, [u - v for u, v in zip(x, a)],
+                             [-(ccx * g + cca * w) for g, w in zip(ga, gx)])
+        return pn, (gx, Hx, J0)
+
+
+def _scheme(variant, model, h, cfg=None):
     if variant is SchemeVariant.VERLET:
         return _Verlet(model, h)
+    if model.dimension <= 2:
+        return _FloatImplicit(variant, model, h, cfg)
     return _Implicit(variant, model, h, cfg)
+
+
+def _form(scheme, v):
+    """The vector v (an array or a sequence) in the form the scheme steps."""
+    v = np.asarray(v, dtype=np.float64)
+    return v.tolist() if isinstance(scheme, _FloatImplicit) else v
 
 
 def _require_s3(variant):
@@ -266,22 +316,27 @@ def _require_s3(variant):
 
 
 def build_step_system(variant, model, s, h):
-    """Residual and analytic Jacobian of the implicit position equation,
-    as closures over the frozen step data (start state, g(a), Hs(a))."""
-    scheme = _Implicit(_require_s3(variant), model, _check_h(h))
+    """Residual and analytic Jacobian of the implicit position equation, as
+    closures over the frozen step data (start state, g(a), Hs(a)) that
+    compute as a step does and check x like any evaluation point."""
+    scheme = _scheme(_require_s3(variant), model, _check_h(h))
     _check_state(model, s)
-    ga, _, J0 = scheme.start(s.q)
-    return scheme.system(s.q, s.p, ga, J0)
+    a = _form(scheme, s.q)
+    residual, jacobian, _, _ = scheme.system(a, _form(scheme, s.p), *scheme.start(a),
+                                             model.gradient, model.hessian)
+    if scheme.floats:   # the float closures, on arrays
+        return (lambda x: np.array(residual(_form(scheme, x))),
+                lambda x: np.reshape(jacobian(_form(scheme, x)), (model.dimension,) * 2))
+    return residual, jacobian
 
 
 def s3_momentum_update(variant, model, a, x, h):
-    """Explicit momentum relation evaluated at the solved position x; a and
-    x are validated like any evaluation point (wrong length: ValueError,
-    singular: SingularityError)."""
-    scheme = _Implicit(_require_s3(variant), model, _check_h(h))
-    a = np.asarray(a, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    return scheme.momentum(a, x, model.gradient(a), model.gradient(x))[0]
+    """Explicit momentum relation evaluated at the solved position x, as a
+    step computes it; a and x are validated like any evaluation point
+    (wrong length: ValueError, singular: SingularityError)."""
+    scheme = _scheme(_require_s3(variant), model, _check_h(h))
+    ga, gx = model.gradient(a), model.gradient(x)
+    return np.asarray(scheme.momentum(*(_form(scheme, v) for v in (a, x, ga, gx)))[0])
 
 
 def step_action(variant, model, a, x, h):
@@ -313,7 +368,8 @@ def step(variant, model, s, h, solver_cfg=None):
     """
     scheme = _scheme(as_variant(variant), model, _check_h(h), solver_cfg)
     _check_state(model, s)
-    x, pn, _, report = scheme.advance(s.q, s.p, scheme.start(s.q))
+    q = _form(scheme, s.q)
+    x, pn, _, report = scheme.advance(q, _form(scheme, s.p), scheme.start(q))
     return StepResult(PhaseState(x, pn), report)
 
 
@@ -348,7 +404,7 @@ def integrate(model, variant, s0, h, n_steps, record_stride=1, solver_cfg=None):
         raise ValueError(f"{n_records} records of dimension {model.dimension} "
                          "are too many to allocate") from None
     scheme = _scheme(variant, model, h, solver_cfg)
-    q, p = s0.q, s0.p
+    q, p = _form(scheme, s0.q), _form(scheme, s0.p)
     Q[0], P[0] = q, p
     rec, k, e0, failure = 0, 1, None, None
     try:

@@ -117,7 +117,10 @@ def test_momentum_update_corrected_hand_values(harmonic):
 def test_momentum_update_checks_the_solved_position(kepler):
     """x is an evaluation point like a: a singular x raises
     SingularityError, as step_action does there, and a wrong-length x the
-    models' dimension error, instead of NaN or a raw numpy error."""
+    models' dimension error, instead of NaN or a raw numpy error.  So do the
+    residual and Jacobian closures of build_step_system."""
+    from test_acceptance import lj_lattice
+
     a = np.array([1.0, 0.0])
     for operation in (ss.s3_momentum_update, ss.step_action):
         with pytest.raises(ss.SingularityError):
@@ -126,6 +129,18 @@ def test_momentum_update_checks_the_solved_position(kepler):
     for model, a in ((kepler, a), (lj, np.array([0.0, 0, 0, 1.1, 0, 0]))):
         with pytest.raises(ValueError, match="dimension mismatch"):
             ss.s3_momentum_update("s3-corrected", model, a, np.append(a, 0.5), 0.1)
+    q = lj_lattice(np.random.default_rng(0), 8, jitter=0.05)
+    coincident = q.copy()
+    coincident[3:6] = q[0:3]
+    lj8 = ss.make_model("lj-cluster", dimension=24)
+    for model, s, singular in (
+            (kepler, ss.PhaseState([1.0, 0.0], [0.0, 1.0]), np.zeros(2)),
+            (lj8, ss.PhaseState(q, np.zeros(24)), coincident)):
+        for closure in ss.build_step_system("s3-corrected", model, s, 0.05):
+            with pytest.raises(ss.SingularityError):
+                closure(singular)
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                closure(np.append(s.q, 0.5))
 
 
 # ----------------------------------------------------------------- s3 steps
@@ -178,12 +193,97 @@ def test_newton_converges_in_one_iteration_on_quadratic(harmonic):
 
 def test_step_momentum_is_the_momentum_update(kepler):
     """A step's p' equals s3_momentum_update at its x bit for bit, although
-    the step reuses the g(x) its residual computed at the last iterate."""
-    s = ss.PhaseState(*ss.kepler_start(0.3))
-    for variant in S3_VARIANTS:
-        r = ss.step(variant, kepler, s, 0.05)
-        npt.assert_array_equal(
-            r.state.p, ss.s3_momentum_update(variant, kepler, s.q, r.state.q, 0.05))
+    the step reuses the g(x) its residual computed at the last iterate: from
+    the e = 0.3 perihelion, and from 1020 seeded states of Kepler and of the
+    unit oscillator (d = 1) at h in {0.01, 0.05, 0.1}, for every variant."""
+    from test_acceptance import kepler_ring_state
+
+    oscillator = ss.make_model("harmonic", dimension=1, omega=1.0)
+    rng = np.random.default_rng(2305)
+    cases = [(kepler, ss.PhaseState(*ss.kepler_start(0.3)), 0.05)]
+    for _ in range(170):
+        for h in (0.01, 0.05, 0.1):
+            cases.append((kepler, kepler_ring_state(rng), h))
+            cases.append((oscillator, ss.PhaseState(rng.normal(size=1),
+                                                    rng.normal(size=1)), h))
+    steps, differ = 0, []
+    for model, s, h in cases:
+        for variant in S3_VARIANTS:
+            try:
+                r = ss.step(variant, model, s, h)
+            except ss.StepError:
+                continue
+            steps += 1
+            p = ss.s3_momentum_update(variant, model, s.q, r.state.q, h)
+            if p.tobytes() != r.state.p.tobytes():
+                differ.append((model.name, variant, h, s))
+    assert steps >= 3000
+    assert differ == []
+
+
+def float_step_cases(rng):
+    """2000 seeded (model, state, h, solver config) at d <= 2: Kepler ring
+    states, the oscillator at d = 1 and 2 with random masses, and the
+    quartic well, with h from 0.003 to 0.2; one in 20 allows one update
+    only, too few to converge.  Then the s3-printed oscillator whose J is
+    exactly zero (test_zero_jacobian_reports_singular_jacobian)."""
+    from test_acceptance import kepler_ring_state
+    from test_models import QuarticWell
+
+    kepler, quartic = ss.make_model("kepler"), QuarticWell(2)
+    one_update = ss.SolverConfig(max_iterations=1)
+    for k in range(2000):
+        h = float(np.exp(rng.uniform(np.log(0.003), np.log(0.2))))
+        cfg = one_update if k % 20 == 19 else None
+        d = (2, 1, 2, 2)[k % 4]
+        if k % 4 == 0:
+            model, s = kepler, kepler_ring_state(rng)
+        else:
+            model = quartic if k % 4 == 3 else ss.make_model(
+                "harmonic", dimension=d, omega=rng.uniform(0.5, 3.0),
+                mass=rng.uniform(0.5, 2.0, size=d))
+            s = ss.PhaseState(rng.normal(size=d), rng.normal(size=d))
+        yield model, s, h, cfg
+    yield (ss.make_model("harmonic", dimension=1, omega=1.0, mass=1.5),
+           ss.PhaseState([1.0], [0.0]), 3.0, None)
+
+
+def test_float_step_matches_the_array_step():
+    """At d <= 2 an implicit step runs on Python floats, and the array
+    scheme of d > 2 is its reference.  On 6003 seeded steps the two agree on
+    whether the step converges and on the cause of a failure, x to
+    2 ulp(1 + ||x||) and p' to 2 (max m/|h|) ulp(1 + ||x||) + 2 ulp(||p'||).
+    They differ only where BLAS fuses a multiply-add in a 2 x 2
+    matrix-vector product."""
+    from symstep import integrators
+
+    def one_step(cls, variant, model, s, h, cfg):
+        scheme = cls(variant, model, h, cfg)
+        q = integrators._form(scheme, s.q)
+        try:
+            x, pn, _, report = scheme.advance(q, integrators._form(scheme, s.p),
+                                              scheme.start(q))
+        except ss.StepError as err:
+            return None, None, err.report.cause
+        return np.asarray(x), np.asarray(pn), report.cause
+
+    causes = []
+    for model, s, h, cfg in float_step_cases(np.random.default_rng(2306)):
+        for variant in S3_VARIANTS:
+            x, p, cause = one_step(integrators._Implicit, variant, model, s, h, cfg)
+            fx, fp, fcause = one_step(integrators._FloatImplicit, variant, model,
+                                      s, h, cfg)
+            assert fcause == cause, (model.name, variant, h, s)
+            causes.append(cause)
+            if x is None:
+                continue
+            ulp = np.spacing(1.0 + np.abs(x).max())
+            assert np.abs(fx - x).max() <= 2 * ulp
+            assert np.abs(fp - p).max() <= (2 * model.mass.max() / h * ulp
+                                            + 2 * np.spacing(np.abs(p).max()))
+    assert causes.count("") >= 5000
+    assert causes.count("max_iterations") >= 250
+    assert "singular_jacobian" in causes
 
 
 def test_time_symmetry_single_step(kepler):
