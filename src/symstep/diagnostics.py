@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .integrators import StepError, Trajectory, as_variant, integrate, step
-from .models import PhaseState
+from .models import FreeModel, HarmonicModel, KeplerModel, PhaseState
 
 
 @dataclass(frozen=True)
@@ -196,15 +196,16 @@ def angular_momentum_series(traj: Trajectory):
 
 
 def analytic_reference(model, s0: PhaseState):
-    """Closed-form flow t -> PhaseState for the cases that have one:
-    any free or harmonic model, and circular Kepler orbits.  Returns None
-    when no analytic solution is available."""
-    if model.name == "free":
+    """Closed-form flow t -> PhaseState for the cases that have one: the
+    built-in free and harmonic models, and circular orbits of the built-in
+    Kepler model.  Returns None when no analytic solution is available,
+    also for any other model class, whatever its name."""
+    if type(model) is FreeModel:
         def flow(t):
             return PhaseState(s0.q + t * s0.p / model.mass, s0.p)
         return flow
-    if model.name == "harmonic":
-        w = model.parameters.get("omega", 1.0)
+    if type(model) is HarmonicModel:
+        w = model.parameters["omega"]
         wi = w / np.sqrt(model.mass)      # per-component frequency
 
         def flow(t):
@@ -215,7 +216,7 @@ def analytic_reference(model, s0: PhaseState):
             p = -s0.q * mw * s + s0.p * c
             return PhaseState(q, p)
         return flow
-    if model.name == "kepler" and np.all(model.mass == 1.0):
+    if type(model) is KeplerModel and np.all(model.mass == 1.0):
         r = float(np.linalg.norm(s0.q))
         if r == 0.0:
             return None

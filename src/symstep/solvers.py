@@ -17,10 +17,10 @@ CAUSE_SINGULAR_JACOBIAN = "singular_jacobian"
 CAUSE_NON_FINITE = "non_finite"
 CAUSE_RESIDUAL_FLOOR = "residual_floor"
 
-# A Jacobian of order >= NEUMANN_MIN_D whose off-diagonal rows sum to at
-# most NEUMANN_MAX_COUPLING of their diagonal entry is inverted by one
-# Jacobi-Neumann term instead of LAPACK (see _minus_inverse).
-NEUMANN_MIN_D = 16
+# A Jacobian whose off-diagonal rows sum to at most NEUMANN_MAX_COUPLING of
+# their diagonal entry is inverted by one Jacobi-Neumann term instead of
+# LAPACK (see _minus_inverse): the coupling, not the order, sets how well
+# the chord contracts with it.
 NEUMANN_MAX_COUPLING = 1e-2
 
 
@@ -55,8 +55,8 @@ def _fnorm(t):
 
 
 def _norm(v):
-    """||v||_inf of an array, on Python floats at up to 16 entries."""
-    return _fnorm(v.tolist()) if len(v) <= 16 else float(abs(v).max())
+    """||v||_inf of a non-empty array."""
+    return float(abs(v).max())
 
 
 def _fminus_inverse(J):
@@ -81,25 +81,19 @@ def _fminus_inverse(J):
 
 def _minus_inverse(J):
     """-K for an approximate inverse K of the square matrix J, or None when J
-    is singular: _fminus_inverse's at order 1 or 2.  At order >= NEUMANN_MIN_D,
-    J = D + O (diagonal plus the rest) with ||D^-1 O||_inf <= NEUMANN_MAX_COUPLING
-    gets the one-term Jacobi-Neumann inverse K = 2 D^-1 - D^-1 J D^-1, one
-    elementwise pass: I - K J = (D^-1 O)^2, exact for a diagonal J.  Every other
-    J gets numpy.linalg.inv, cheaper at small orders: None where it raises."""
+    is singular.  J = D + O (diagonal plus the rest) with ||D^-1 O||_inf <=
+    NEUMANN_MAX_COUPLING gets the one-term Jacobi-Neumann inverse K = 2 D^-1 -
+    D^-1 J D^-1, one elementwise pass: I - K J = (D^-1 O)^2, exact for a
+    diagonal J.  Every other J gets numpy.linalg.inv: None where it raises."""
     J = np.asarray(J, dtype=np.float64)
-    d = len(J)
-    if d <= 2:
-        K = _fminus_inverse(J.ravel().tolist())
-        return None if K is None else np.reshape(K, (d, d))
-    if d >= NEUMANN_MIN_D:
-        dg = J.diagonal()
-        if dg.all():
-            dinv = 1.0 / dg
-            S = J * dinv[:, None]   # D^-1 J, unit diagonal up to rounding
-            if abs(S).sum(axis=1).max() - 1.0 <= NEUMANN_MAX_COUPLING:
-                S *= dinv           # D^-1 J D^-1
-                S.flat[::d + 1] = -dinv
-                return S
+    dg = J.diagonal()
+    if dg.all():
+        dinv = 1.0 / dg
+        S = J * dinv[:, None]   # D^-1 J, unit diagonal up to rounding
+        if abs(S).sum(axis=1).max() - 1.0 <= NEUMANN_MAX_COUPLING:
+            S *= dinv           # D^-1 J D^-1
+            S.flat[::len(J) + 1] = -dinv
+            return S
     try:
         return -np.linalg.inv(J)
     except np.linalg.LinAlgError:
@@ -134,7 +128,7 @@ def solve_newton(residual, jacobian, x0, cfg, r0=None, j0=None):
     ``jacobian`` is a callable J(x); ``r0`` and ``j0``, when given, are R(x0)
     and J(x0) and save their evaluations.  At d <= 2 the iteration runs on
     Python floats, converting x and the closures' values at each call.
-    K = J(x0)^-1 (a large diagonally dominant J inverted approximately, see
+    K = J(x0)^-1 (a diagonally dominant J inverted approximately, see
     _minus_inverse) is kept while each update halves the residual: the chord
     iteration.  An update above round-off with theta = ||R(x_new)|| / ||R(x)||
     in (1/2, 1] re-inverts J at x_new; full Newton is the limit of refreshing

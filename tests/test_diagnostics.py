@@ -289,3 +289,24 @@ def test_analytic_reference_unavailable(kepler):
     m = ss.make_model("lj-cluster", dimension=6)
     assert ss.analytic_reference(m, ss.PhaseState([0, 0, 0, 1.1, 0, 0],
                                                   np.zeros(6))) is None
+
+
+class _NamedQuartic(ss.PotentialModel):
+    """V(q) = sum q_i^4 / 4 under a built-in model's name."""
+
+    def _value(self, q):
+        return float(np.sum(q ** 4) / 4.0)
+
+    def _gradient(self, q):
+        return q ** 3
+
+    def _hessian(self, q):
+        return np.diag(3.0 * q ** 2)
+
+
+@pytest.mark.parametrize("name", ["free", "harmonic", "kepler"])
+def test_analytic_reference_goes_by_model_class_not_name(name):
+    """A custom model named like a built-in one has no closed-form flow,
+    even at a unit-mass circular Kepler start."""
+    m = _NamedQuartic(name, 2)
+    assert ss.analytic_reference(m, ss.PhaseState([1.0, 0.0], [0.0, 1.0])) is None

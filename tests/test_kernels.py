@@ -105,9 +105,9 @@ def test_lj_memo_keeps_singularities():
 def test_newton_solve_matches_elimination_reference(n_atoms, seed, h,
                                                     monkeypatch):
     """The solver's LAPACK inverse and the elimination loop agree on the
-    step's first Newton system J(a) delta = -R(a).  Large dominant J take
-    the Neumann inverse instead; that branch is turned off here."""
-    monkeypatch.setattr(solvers, "NEUMANN_MIN_D", 10 ** 9)
+    step's first Newton system J(a) delta = -R(a).  Dominant J take the
+    Neumann inverse instead; that branch is turned off here."""
+    monkeypatch.setattr(solvers, "NEUMANN_MAX_COUPLING", -np.inf)
     model = ss.make_model("lj-cluster", dimension=3 * n_atoms)
     rng = np.random.default_rng(seed)
     s = ss.PhaseState(lj_cluster(n_atoms, seed), rng.normal(scale=0.3, size=3 * n_atoms))

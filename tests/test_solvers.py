@@ -7,9 +7,10 @@ import numpy.testing as npt
 import pytest
 
 import symstep as ss
-from symstep import solvers
+from symstep import integrators, solvers
 from symstep.solvers import (CAUSE_MAX_ITERATIONS, CAUSE_NON_FINITE,
                              CAUSE_RESIDUAL_FLOOR, CAUSE_SINGULAR_JACOBIAN)
+from test_acceptance import lj_lattice
 
 
 def scalar_problem(f, df):
@@ -234,7 +235,7 @@ def test_chord_stops_at_the_residual_floor():
     assert abs(x[0] - np.sqrt(2.0)) <= np.spacing(np.sqrt(2.0))
 
 
-# ------------------------------ inverse of large dominant Jacobians
+# ------------------------------------ inverse of dominant Jacobians
 
 def test_neumann_inverse_gives_the_exact_inverse_solution(monkeypatch):
     """On a d = 24 dominant SPD Jacobian the one-term Neumann inverse takes
@@ -251,7 +252,7 @@ def test_neumann_inverse_gives_the_exact_inverse_solution(monkeypatch):
     npt.assert_allclose(np.eye(24) - K @ J, D_inv_O @ D_inv_O, rtol=0, atol=1e-15)
     x, report = ss.solve_newton(residual, lambda x: J, np.zeros(24),
                                 ss.SolverConfig())
-    monkeypatch.setattr(solvers, "NEUMANN_MIN_D", 10 ** 9)
+    monkeypatch.setattr(solvers, "NEUMANN_MAX_COUPLING", -np.inf)
     x_inv, report_inv = ss.solve_newton(residual, lambda x: J, np.zeros(24),
                                         ss.SolverConfig())
     assert report.converged and report_inv.converged
@@ -276,14 +277,79 @@ def test_zero_diagonal_at_neumann_size_is_singular():
     assert report.cause == CAUSE_SINGULAR_JACOBIAN
     assert report.iterations == 0
 
-# ------------------------------------------------------ small-d fast paths
+# ------------------------------------------- primitives per workload shape
+
+def _newton_traffic(monkeypatch):
+    """(calls, lapack): the steps' Newton-loop calls per (ARRAY_OPS or
+    FLOAT_OPS, member index), and ||D^-1 O||_inf of each J that LAPACK
+    inverts."""
+    members = {id(f): (kind, i)
+               for kind, ops in (("array", solvers.ARRAY_OPS), ("float", solvers.FLOAT_OPS))
+               for i, f in enumerate(ops)}
+    calls, lapack = {}, []
+
+    def counted(f):
+        key = members[id(f)]
+
+        def call(*args):
+            calls[key] = calls.get(key, 0) + 1
+            return f(*args)
+        return call
+
+    loop, inv = integrators.newton_loop, np.linalg.inv
+
+    def traced_inv(J):
+        lapack.append(np.abs(J / J.diagonal()[:, None]).sum(axis=1).max() - 1.0)
+        return inv(J)
+
+    monkeypatch.setattr(integrators, "newton_loop", lambda *args: loop(
+        *args[:-1], tuple(map(counted, args[-1]))))
+    monkeypatch.setattr(np.linalg, "inv", traced_inv)
+    return calls, lapack
+
+
+def test_workload_shapes_reach_their_primitives(monkeypatch):
+    """s3 steps at d = 1 (harmonic) and d = 2 (Kepler) run on FLOAT_OPS
+    alone; LJ(8) at d = 24 on ARRAY_OPS alone, with the Neumann K at h =
+    0.005 and LAPACK's inverse at h = 0.02 from a relaxed cluster (the
+    relaxed LJ(8) check), where ||D^-1 O||_inf exceeds NEUMANN_MAX_COUPLING."""
+    calls, lapack = _newton_traffic(monkeypatch)
+    rng = np.random.default_rng(25)
+    for model, q in ((ss.make_model("harmonic", dimension=1), [1.0]),
+                     (ss.make_model("kepler"), ss.kepler_start(0.3)[0])):
+        ss.integrate(model, "s3-corrected", ss.PhaseState(q, np.full(model.dimension, 0.5)),
+                     0.05, 20)
+    assert {kind for kind, _ in calls} == {"float"}
+    assert all(calls.get(("float", i)) for i in (0, 1, 4))
+    assert not lapack
+
+    calls.clear()
+    lj8 = ss.make_model("lj-cluster", dimension=24)
+    q = lj_lattice(rng, 8)
+    p = rng.normal(scale=0.2, size=24)
+    traj = ss.integrate(lj8, "s3-corrected", ss.PhaseState(q, p), 0.005, 20)
+    assert not traj.failed
+    assert {kind for kind, _ in calls} == {"array"}
+    assert calls[("array", 4)] >= 20
+    assert not lapack
+
+    calls.clear()
+    for _ in range(2000):
+        q = q - 0.01 * lj8.gradient(q)
+    traj = ss.integrate(lj8, "s3-corrected", ss.PhaseState(q, p), 0.02, 20)
+    assert not traj.failed
+    assert {kind for kind, _ in calls} == {"array"}
+    assert len(lapack) == calls[("array", 4)] >= 20
+    assert min(lapack) > solvers.NEUMANN_MAX_COUPLING
+
+# ------------------------------------------- float primitives at d <= 2
 
 SPECIAL = [0.0, -0.0, 5e-324, -2.5e-310, 1.7e308, -1.7e308, 1.0, -3.5]
 
 
 @pytest.mark.parametrize("d", range(1, 13))
 def test_norm_equals_numpy_bitwise(d):
-    """_norm on Python floats returns float(abs(v).max()) bit for bit: on
+    """_fnorm on Python floats returns float(abs(v).max()) bit for bit: on
     signed zeros, subnormals, finite entries whose sum overflows, and with
     +-inf or NaN at every position, where numpy's NaN must come back."""
     rng = np.random.default_rng(d)
@@ -297,10 +363,10 @@ def test_norm_equals_numpy_bitwise(d):
             v[i] = bad
             vectors.append(v)
     for v in vectors:
-        got = solvers._norm(v)
+        got = solvers._fnorm(v.tolist())
         assert type(got) is float
         assert np.float64(got).tobytes() == np.float64(abs(v).max()).tobytes(), v
-    assert solvers._norm(np.zeros(0)) == 0.0
+    assert solvers._fnorm([]) == 0.0
 
 
 def test_newton_does_not_converge_on_a_trailing_nan():
@@ -324,6 +390,11 @@ def test_newton_does_not_converge_on_a_trailing_nan():
     assert (report.converged, report.cause) == (False, CAUSE_NON_FINITE)
 
 
+def _closed_form_minus_inverse(J):
+    K = solvers._fminus_inverse(J.ravel().tolist())
+    return None if K is None else np.reshape(K, J.shape)
+
+
 def _lapack_minus_inverse(J):
     try:
         return -np.linalg.inv(J)
@@ -343,10 +414,11 @@ def test_closed_form_inverse_matches_lapack(d):
         cond = np.linalg.cond(J)
         if cond > 1e8:
             continue
-        K, L = solvers._minus_inverse(J), -np.linalg.inv(J)
+        K, L = _closed_form_minus_inverse(J), -np.linalg.inv(J)
         assert np.abs(K - L).max() <= 4.0 * eps * cond * np.abs(L).max(), J
         D = np.diag(J.diagonal())
-        npt.assert_array_equal(solvers._minus_inverse(D), np.diag(-1.0 / J.diagonal()))
+        npt.assert_array_equal(_closed_form_minus_inverse(D),
+                               np.diag(-1.0 / J.diagonal()))
 
 
 @pytest.mark.parametrize("J", [
@@ -365,7 +437,7 @@ def test_closed_form_inverse_keeps_lapack_outcome_at_the_edges(J):
     numpy.linalg.inv gives: None where it raises, its values otherwise."""
     J = np.array(J)
     with np.errstate(all="ignore"):
-        K, L = solvers._minus_inverse(J), _lapack_minus_inverse(J)
+        K, L = _closed_form_minus_inverse(J), _lapack_minus_inverse(J)
     if L is None:
         assert K is None
     else:
@@ -387,5 +459,5 @@ def test_closed_form_inverse_is_none_wherever_lapack_raises():
             L = _lapack_minus_inverse(J)
             raised += L is None
             if L is None:
-                assert solvers._minus_inverse(J) is None, J
+                assert _closed_form_minus_inverse(J) is None, J
     assert raised > 1000
