@@ -63,7 +63,6 @@ def reversibility_error(variant, model, s0, h, n_steps, solver_cfg=None, forward
     """Integrate n_steps forward with h, n_steps back with -h, and return the
     infinity-norm distance to the start.  ``forward``, a trajectory of those
     n_steps from s0 at any record stride, serves as the forward leg."""
-    n_steps = int(n_steps)
     if n_steps == 0:
         return 0.0
     fwd = forward if forward is not None else integrate(

@@ -34,7 +34,7 @@ Every model, built-in or custom, runs on one engine.  A scheme object built
 once per call (or per ``integrate`` run) holds the per-run constants and
 steps through the model's ``_gradient``/``_hessian`` hooks, on arrays, or
 at d <= 2 on Python floats (the hooks still get arrays).  An implicit step
-runs the Newton loop of :func:`solve_newton` from x = a, where R(a) =
+runs the one Newton loop (solvers.newton_loop) from x = a, where R(a) =
 (h/12)(ca + cx) g(a) - p needs no new evaluation, with J(a) = M/h + (h/12)
 (cb + cx) Hs(a) inverted once and kept while the residual at least halves
 per update; its first update is exact when R is affine (quadratic
@@ -42,8 +42,9 @@ potentials) and O(h^4) accurate otherwise.  The momentum update reuses the
 residual's last g(x), and a trajectory reuses each step's end evaluations
 as the next step's start: a step with k updates makes k gradient and 1
 Hessian evaluation and one inversion of J(a), plus one Hessian and
-inversion per refresh.  The public functions compute as a step does, and
-check their evaluation points.
+inversion per refresh.  The public build_step_system and
+s3_momentum_update compute as the array step does, at every d, and check
+their evaluation points; only step and integrate choose the float form.
 """
 
 import enum
@@ -53,7 +54,7 @@ from typing import Optional
 
 import numpy as np
 
-from .models import PhaseState, SingularityError, hamiltonian_energy
+from .models import PhaseState, SingularityError, as_count, hamiltonian_energy
 from .solvers import (ARRAY_OPS, CAUSE_NON_FINITE, FLOAT_OPS, IDENTITY_REPORT,
                       SolverConfig, SolverReport, float_update, newton_loop)
 
@@ -318,25 +319,19 @@ def _require_s3(variant):
 def build_step_system(variant, model, s, h):
     """Residual and analytic Jacobian of the implicit position equation, as
     closures over the frozen step data (start state, g(a), Hs(a)) that
-    compute as a step does and check x like any evaluation point."""
-    scheme = _scheme(_require_s3(variant), model, _check_h(h))
+    compute as the array step does and check x like any evaluation point."""
+    scheme = _Implicit(_require_s3(variant), model, _check_h(h))
     _check_state(model, s)
-    a = _form(scheme, s.q)
-    residual, jacobian, _, _ = scheme.system(a, _form(scheme, s.p), *scheme.start(a),
-                                             model.gradient, model.hessian)
-    if scheme.floats:   # the float closures, on arrays
-        return (lambda x: np.array(residual(_form(scheme, x))),
-                lambda x: np.reshape(jacobian(_form(scheme, x)), (model.dimension,) * 2))
-    return residual, jacobian
+    return scheme.system(s.q, s.p, *scheme.start(s.q), model.gradient, model.hessian)[:2]
 
 
 def s3_momentum_update(variant, model, a, x, h):
-    """Explicit momentum relation evaluated at the solved position x, as a
-    step computes it; a and x are validated like any evaluation point
+    """Explicit momentum relation evaluated at the solved position x, as the
+    array step computes it; a and x are validated like any evaluation point
     (wrong length: ValueError, singular: SingularityError)."""
-    scheme = _scheme(_require_s3(variant), model, _check_h(h))
-    ga, gx = model.gradient(a), model.gradient(x)
-    return np.asarray(scheme.momentum(*(_form(scheme, v) for v in (a, x, ga, gx)))[0])
+    scheme = _Implicit(_require_s3(variant), model, _check_h(h))
+    a, x = (np.asarray(v, dtype=np.float64) for v in (a, x))
+    return scheme.momentum(a, x, model.gradient(a), model.gradient(x))[0]
 
 
 def step_action(variant, model, a, x, h):
@@ -377,22 +372,19 @@ def integrate(model, variant, s0, h, n_steps, record_stride=1, solver_cfg=None):
     """Apply the one-step map n_steps times from s0, recording the initial
     state and every record_stride-th state.
 
-    n_steps must be a positive multiple of record_stride so records stay
-    uniformly spaced; a record buffer too large to allocate is a ValueError.
-    h may be negative (backward integration).  On a step
-    failure the partial trajectory is returned with failed=True and the
-    1-based index of the failing step; no exception is raised here.  A
-    singular start fails at step 1 and has no initial_energy (None).
+    n_steps must be a multiple of record_stride so records stay uniformly
+    spaced, and both integers >= 1 (10.0 is one, 10.7 is not); a record
+    buffer too large to allocate is a ValueError.  h may be negative
+    (backward integration).  On a step failure the partial trajectory is
+    returned with failed=True and the 1-based index of the failing step; no
+    exception is raised here.  A singular start fails at step 1 and has no
+    initial_energy (None).
     """
     variant = as_variant(variant)
     h = _check_h(h)
     _check_state(model, s0)
-    n_steps = int(n_steps)
-    record_stride = int(record_stride)
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    if record_stride < 1:
-        raise ValueError("record_stride must be >= 1")
+    n_steps = as_count(n_steps, "n_steps")
+    record_stride = as_count(record_stride, "record_stride")
     if n_steps % record_stride != 0:
         raise ValueError("n_steps must be a multiple of record_stride")
     n_records = n_steps // record_stride + 1

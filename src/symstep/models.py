@@ -39,6 +39,14 @@ def _as_vector(x, name):
     return v
 
 
+def as_count(n, name):
+    """int(n) for an integral n >= 1 (10.0 and numpy integers too); any other
+    number is a ValueError, 10.7 included, which int() alone would truncate."""
+    if not 1 <= n < math.inf or int(n) != n:
+        raise ValueError(f"{name} must be an integer >= 1, got {n!r}")
+    return int(n)
+
+
 @dataclass(frozen=True, eq=False)
 class PhaseState:
     """Position/momentum pair (q, p), both finite vectors of dimension d."""
@@ -99,9 +107,7 @@ class PotentialModel:
     """
 
     def __init__(self, name, dimension, mass=None, parameters=None):
-        dimension = int(dimension)
-        if dimension < 1:
-            raise ValueError("model dimension must be >= 1")
+        dimension = as_count(dimension, "model dimension")
         if mass is None:
             mass = np.ones(dimension)
         else:
@@ -335,7 +341,7 @@ def make_model(name, dimension=None, mass=None, **parameters):
         if parameters:
             raise ValueError(f"kepler model takes no parameters, got {sorted(parameters)}")
         return KeplerModel(mass=mass)
-    if key in ("lj-cluster", "lj"):
+    if key == "lj-cluster":
         if dimension is None:
             raise ValueError("lj-cluster model needs a dimension (3N)")
         if dimension % 3 != 0 or dimension < 6:

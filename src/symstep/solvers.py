@@ -1,8 +1,8 @@
 """The Newton solver for the per-step implicit equation.
 
-It takes closures (the residual and its Jacobian) and is the one solve
-loop of the package: every implicit step, of every model, runs through it,
-on numpy arrays, or at d <= 2 on Python floats.
+newton_loop, on closures (the residual and its Jacobian), is the one solve
+loop of the package: every implicit step, of every model, runs through it, on
+numpy arrays, or at d <= 2 on Python floats; solve_newton runs it on arrays.
 """
 
 import math
@@ -32,8 +32,9 @@ class SolverConfig:
     def __post_init__(self):
         if not (self.tolerance > 0):
             raise ValueError("tolerance must be > 0")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        n = self.max_iterations  # newton_loop counts to it: 50.0 is refused too
+        if not (isinstance(n, (int, np.integer)) and n >= 1):
+            raise ValueError(f"max_iterations must be an integer >= 1, got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -126,19 +127,19 @@ def solve_newton(residual, jacobian, x0, cfg, r0=None, j0=None):
     """Newton iteration on R(x) = 0 that keeps J^-1 while it contracts.
 
     ``jacobian`` is a callable J(x); ``r0`` and ``j0``, when given, are R(x0)
-    and J(x0) and save their evaluations.  At d <= 2 the iteration runs on
-    Python floats, converting x and the closures' values at each call.
-    K = J(x0)^-1 (a diagonally dominant J inverted approximately, see
-    _minus_inverse) is kept while each update halves the residual: the chord
-    iteration.  An update above round-off with theta = ||R(x_new)|| / ||R(x)||
-    in (1/2, 1] re-inverts J at x_new; full Newton is the limit of refreshing
-    at every update (Shamanskii's method, and the theta-driven Jacobian reuse
-    of RADAU5).  An update that raises the residual, or makes it non-finite,
-    is dropped: J is re-inverted at x, or K is halved if it was formed at x
-    already.  Only a first update that points uphill in R (R(x0) . delta > 0)
-    is taken whole: for a residual that is a gradient, as the s3 position
-    equation is, J(x0) is then not positive definite, and a shorter update
-    would head for a saddle.
+    and J(x0) and save their evaluations.  K = J(x0)^-1 (a diagonally
+    dominant J inverted approximately, see _minus_inverse) is kept while each
+    update halves the residual: the chord iteration.  An update above
+    round-off with theta = ||R(x_new)|| / ||R(x)|| in (1/2, 1] re-inverts J
+    at x_new; full Newton is the limit of refreshing at every update
+    (Shamanskii's method, and the theta-driven Jacobian reuse of RADAU5).  An
+    update that raises the residual, or makes it non-finite, is dropped: J is
+    re-inverted at x, or K is halved if it was formed at x already.  Only a
+    first update that points uphill in R (R(x0) . delta > 0) is taken whole:
+    for a residual that is a gradient, as the s3 position equation is, J(x0)
+    is then not positive definite, and a shorter update would head for a
+    saddle.  This is newton_loop on numpy arrays at every d, as an array step
+    runs it; a step at d <= 2 runs the same loop on Python floats.
 
     Convergence means ||R(x)||_inf <= cfg.tolerance with x at round-off,
     since the chord converges only linearly: the update that reached x is
@@ -151,15 +152,9 @@ def solve_newton(residual, jacobian, x0, cfg, r0=None, j0=None):
     ("max_iterations", "singular_jacobian", "non_finite", "residual_floor").
     """
     x = np.array(x0, dtype=np.float64, copy=True)
-    if len(x) > 2:
-        vec = lambda v: None if v is None else np.asarray(v, dtype=np.float64)
-        return newton_loop(lambda x: vec(residual(x)), jacobian, x, cfg, vec(r0),
-                           j0, ARRAY_OPS)
-    flat = lambda v: v if v is None else np.asarray(v, dtype=np.float64).ravel().tolist()
-    x, report = newton_loop(lambda x: flat(residual(np.array(x))),
-                            lambda x: flat(jacobian(np.array(x))), x.tolist(), cfg,
-                            flat(r0), flat(j0), FLOAT_OPS)
-    return np.array(x), report
+    vec = lambda v: None if v is None else np.asarray(v, dtype=np.float64)
+    return newton_loop(lambda x: vec(residual(x)), jacobian, x, cfg, vec(r0), j0,
+                       ARRAY_OPS)
 
 
 def newton_loop(residual, jacobian, x, cfg, r0, j0, ops):

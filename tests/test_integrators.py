@@ -192,10 +192,12 @@ def test_newton_converges_in_one_iteration_on_quadratic(harmonic):
 
 
 def test_step_momentum_is_the_momentum_update(kepler):
-    """A step's p' equals s3_momentum_update at its x bit for bit, although
-    the step reuses the g(x) its residual computed at the last iterate: from
-    the e = 0.3 perihelion, and from 1020 seeded states of Kepler and of the
-    unit oscillator (d = 1) at h in {0.01, 0.05, 0.1}, for every variant."""
+    """A step's p' equals its scheme's momentum update at its x, with g(x)
+    evaluated afresh, bit for bit, although the step reuses the g(x) its
+    residual computed at the last iterate: from the e = 0.3 perihelion, and
+    from 1020 seeded states of Kepler and of the unit oscillator (d = 1) at
+    h in {0.01, 0.05, 0.1}, for every variant."""
+    from symstep import integrators
     from test_acceptance import kepler_ring_state
 
     oscillator = ss.make_model("harmonic", dimension=1, omega=1.0)
@@ -214,8 +216,10 @@ def test_step_momentum_is_the_momentum_update(kepler):
             except ss.StepError:
                 continue
             steps += 1
-            p = ss.s3_momentum_update(variant, model, s.q, r.state.q, h)
-            if p.tobytes() != r.state.p.tobytes():
+            scheme = integrators._scheme(variant, model, h)
+            a, x = (integrators._form(scheme, v) for v in (s.q, r.state.q))
+            p, _ = scheme.momentum(a, x, integrators._form(scheme, model.gradient(s.q)))
+            if np.asarray(p).tobytes() != r.state.p.tobytes():
                 differ.append((model.name, variant, h, s))
     assert steps >= 3000
     assert differ == []
@@ -349,22 +353,28 @@ def test_chord_without_contraction_refreshes_the_jacobian():
     step re-inverts J there, once, and converges: three Hessian calls (the
     start, the refresh and the momentum update), where the full-Newton
     restart from the Verlet predictor that this replaced made six.  The
-    step is solve_newton on the build_step_system closures from x = a with
-    j0 = J(a), plus s3_momentum_update, bit for bit."""
+    step is newton_loop on FLOAT_OPS over its scheme's own system closures
+    from x = a with j0 = J(a), plus the scheme's momentum update, bit for
+    bit."""
+    from symstep import integrators
     from symstep.models import KeplerModel
+    from symstep.solvers import FLOAT_OPS, newton_loop
 
     s, h = ss.PhaseState(*ss.kepler_start(0.9)), 0.05
     model = counting(KeplerModel)()
     r = ss.step("s3-corrected", model, s, h)
     assert r.solver.converged
     assert model.n_hessian == 3
-    residual, jacobian = ss.build_step_system("s3-corrected", model, s, h)
-    x, report = ss.solve_newton(residual, jacobian, s.q, ss.SolverConfig(),
-                                j0=jacobian(s.q))
+    scheme = integrators._scheme(ss.SchemeVariant.S3_CORRECTED, model, h)
+    assert scheme.ops is FLOAT_OPS
+    a, p = s.q.tolist(), s.p.tolist()
+    ev = scheme.start(a)
+    residual, jacobian, _, _ = scheme.system(a, p, *ev, *scheme.hooks)
+    x, report = newton_loop(residual, jacobian, a, ss.SolverConfig(), None,
+                            jacobian(a), FLOAT_OPS)
     assert report == r.solver
     npt.assert_array_equal(r.state.q, x)
-    npt.assert_array_equal(
-        r.state.p, ss.s3_momentum_update("s3-corrected", model, s.q, x, h))
+    npt.assert_array_equal(r.state.p, scheme.momentum(a, x, ev[0])[0])
 
 
 def test_step_into_singularity_raises(kepler):
@@ -432,6 +442,34 @@ def test_integrate_stride_must_divide(harmonic):
     s = ss.PhaseState([1.0], [0.0])
     with pytest.raises(ValueError):
         ss.integrate(harmonic, "verlet", s, 0.1, 10, record_stride=3)
+
+
+@pytest.mark.parametrize("n_steps, record_stride", [(10.7, 1), (10, 2.5), (0, 1),
+                                                   (10, -5), (np.inf, 1), (np.nan, 1)])
+def test_integrate_rejects_counts_that_are_not_integers_ge_1(harmonic, n_steps,
+                                                             record_stride):
+    """A count is refused, not truncated: n_steps = 10.7 ran 10 steps, and
+    n_steps = inf raised OverflowError."""
+    s = ss.PhaseState([1.0], [0.0])
+    with pytest.raises(ValueError, match="must be an integer >= 1"):
+        ss.integrate(harmonic, "verlet", s, 0.1, n_steps, record_stride=record_stride)
+
+
+def test_reversibility_error_rejects_a_non_integral_count(harmonic):
+    with pytest.raises(ValueError, match="n_steps must be an integer >= 1"):
+        ss.reversibility_error("verlet", harmonic, ss.PhaseState([1.0], [0.0]), 0.1,
+                               10.7)
+
+
+def test_integrate_accepts_integral_counts(harmonic):
+    """10.0 and numpy integers are counts, as int() read them before."""
+    s = ss.PhaseState([1.0], [0.0])
+    want = ss.integrate(harmonic, "s3-corrected", s, 0.1, 10, record_stride=5)
+    for n, stride in ((10.0, 5.0), (np.int64(10), np.int32(5)), (np.float64(10), 5)):
+        traj = ss.integrate(harmonic, "s3-corrected", s, 0.1, n, record_stride=stride)
+        assert type(traj.record_stride) is int
+        npt.assert_array_equal(traj.q, want.q)
+        npt.assert_array_equal(traj.p, want.p)
 
 
 def test_integrate_verlet_circular_orbit_near_period(kepler):

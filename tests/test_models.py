@@ -206,7 +206,21 @@ def test_validate_derivatives_free_exact():
 
 def test_make_model_names():
     assert set(MODEL_NAMES) == {"free", "harmonic", "kepler", "lj-cluster"}
-    assert ss.make_model("lj", dimension=6).name == "lj-cluster"
+    # the library takes the names the CLI and the config take, and no alias
+    with pytest.raises(ValueError, match="unknown model 'lj'"):
+        ss.make_model("lj", dimension=6)
+
+
+def test_model_dimension_must_be_an_integer():
+    """dimension = 2.5 built a d = 2 model; 2.0 and numpy integers are d = 2."""
+    for dimension in (2.5, 0, -1, np.inf, np.nan):
+        with pytest.raises(ValueError, match="model dimension must be an integer >= 1"):
+            ss.make_model("harmonic", dimension=dimension)
+    for dimension in (2.0, np.int64(2), np.float32(2)):
+        model = ss.make_model("harmonic", dimension=dimension)
+        assert model.dimension == 2 and type(model.dimension) is int
+    with pytest.raises(ValueError):
+        ss.make_model("free", dimension=1.5)
 
 
 def test_kepler_is_two_dimensional():

@@ -37,6 +37,20 @@ def test_config_validation():
         ss.SolverConfig(method="fixed_point")
 
 
+def test_config_max_iterations_must_be_an_integer():
+    """max_iterations = 2.5 was accepted, and integrate then raised TypeError
+    from the Newton loop's range() instead of returning a failed run."""
+    for bad in (2.5, 50.0, "50", None, -np.int64(1)):
+        with pytest.raises(ValueError, match="max_iterations must be an integer >= 1"):
+            ss.SolverConfig(max_iterations=bad)
+    cfg = ss.SolverConfig(tolerance=1e-30, max_iterations=np.int64(2))
+    m = ss.make_model("kepler")
+    traj = ss.integrate(m, "s3-corrected", ss.PhaseState(*ss.kepler_start(0.3)),
+                        0.05, 4, solver_cfg=cfg)
+    assert traj.failed_step == 1
+    assert traj.failure.iterations == 2
+
+
 # ------------------------------------------------------------------- newton
 
 def test_newton_linear_one_step():
@@ -280,9 +294,10 @@ def test_zero_diagonal_at_neumann_size_is_singular():
 # ------------------------------------------- primitives per workload shape
 
 def _newton_traffic(monkeypatch):
-    """(calls, lapack): the steps' Newton-loop calls per (ARRAY_OPS or
-    FLOAT_OPS, member index), and ||D^-1 O||_inf of each J that LAPACK
-    inverts."""
+    """(calls, lapack): the Newton-loop calls of the steps and of
+    solve_newton per (ARRAY_OPS or FLOAT_OPS, member index), float_update's
+    in the float momentum update included, and ||D^-1 O||_inf of each J that
+    LAPACK inverts."""
     members = {id(f): (kind, i)
                for kind, ops in (("array", solvers.ARRAY_OPS), ("float", solvers.FLOAT_OPS))
                for i, f in enumerate(ops)}
@@ -302,25 +317,42 @@ def _newton_traffic(monkeypatch):
         lapack.append(np.abs(J / J.diagonal()[:, None]).sum(axis=1).max() - 1.0)
         return inv(J)
 
-    monkeypatch.setattr(integrators, "newton_loop", lambda *args: loop(
-        *args[:-1], tuple(map(counted, args[-1]))))
+    for module in (integrators, solvers):
+        monkeypatch.setattr(module, "newton_loop", lambda *args: loop(
+            *args[:-1], tuple(map(counted, args[-1]))))
+    monkeypatch.setattr(integrators, "float_update", counted(solvers.float_update))
     monkeypatch.setattr(np.linalg, "inv", traced_inv)
     return calls, lapack
 
 
 def test_workload_shapes_reach_their_primitives(monkeypatch):
     """s3 steps at d = 1 (harmonic) and d = 2 (Kepler) run on FLOAT_OPS
-    alone; LJ(8) at d = 24 on ARRAY_OPS alone, with the Neumann K at h =
-    0.005 and LAPACK's inverse at h = 0.02 from a relaxed cluster (the
+    alone, while solve_newton on the build_step_system closures and
+    s3_momentum_update run there on ARRAY_OPS alone and return float64
+    arrays; LJ(8) at d = 24 steps on ARRAY_OPS alone, with the Neumann K at
+    h = 0.005 and LAPACK's inverse at h = 0.02 from a relaxed cluster (the
     relaxed LJ(8) check), where ||D^-1 O||_inf exceeds NEUMANN_MAX_COUPLING."""
     calls, lapack = _newton_traffic(monkeypatch)
     rng = np.random.default_rng(25)
-    for model, q in ((ss.make_model("harmonic", dimension=1), [1.0]),
-                     (ss.make_model("kepler"), ss.kepler_start(0.3)[0])):
-        ss.integrate(model, "s3-corrected", ss.PhaseState(q, np.full(model.dimension, 0.5)),
-                     0.05, 20)
+    small = [(model, ss.PhaseState(q, np.full(model.dimension, 0.5))) for model, q in (
+        (ss.make_model("harmonic", dimension=1), [1.0]),
+        (ss.make_model("kepler"), ss.kepler_start(0.3)[0]))]
+    for model, s in small:
+        ss.integrate(model, "s3-corrected", s, 0.05, 20)
     assert {kind for kind, _ in calls} == {"float"}
     assert all(calls.get(("float", i)) for i in (0, 1, 4))
+    assert not lapack
+
+    calls.clear()
+    for model, s in small:
+        residual, jacobian = ss.build_step_system("s3-corrected", model, s, 0.05)
+        x, report = ss.solve_newton(residual, jacobian, s.q, ss.SolverConfig())
+        assert report.converged
+        p = ss.s3_momentum_update("s3-corrected", model, s.q, x, 0.05)
+        for v in (x, p, residual(x), jacobian(x)):
+            assert type(v) is np.ndarray and v.dtype == np.float64
+    assert {kind for kind, _ in calls} == {"array"}
+    assert all(calls.get(("array", i)) for i in (0, 1, 4))
     assert not lapack
 
     calls.clear()
