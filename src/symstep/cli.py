@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import KEYS, ConfigError, build_config, parse_lines, resolve
+from .config import KEYS, ConfigError, build_config, parse_lines, resolve, resolve_start
 from .diagnostics import (analytic_reference, angular_momentum_series,
                           convergence_order, energy_drift, energy_series,
                           reversibility_error, symplecticity_defect)
@@ -193,7 +193,7 @@ def cmd_compare(cfg):
 
 
 def cmd_converge(cfg):
-    model, s0, _n, solver = resolve(cfg)
+    model, s0, solver = resolve_start(cfg)
     if cfg.steps is None or len(set(cfg.steps)) < 2:
         raise ConfigError("converge needs 'steps' with at least two distinct "
                           "step sizes (e.g. steps = 0.1, 0.05)")

@@ -200,14 +200,21 @@ def resolve_initial_state(cfg: ExperimentConfig, model) -> PhaseState:
     raise ConfigError(f"model {cfg.model!r} needs explicit q0/p0 vectors")
 
 
+def resolve_start(cfg: ExperimentConfig):
+    """(model, initial state, SolverConfig) for a validated config: all that
+    converge, which takes its step sizes from ``steps``, needs."""
+    model = resolve_model(cfg)
+    return model, resolve_initial_state(cfg, model), SolverConfig(
+        tolerance=cfg.tolerance, max_iterations=cfg.max_iterations)
+
+
 def resolve(cfg: ExperimentConfig):
     """(model, initial state, n_steps, SolverConfig) for a validated config.
 
     The step count rounds t_end/h to the nearest integer and must be a
     positive multiple of record_stride.
     """
-    model = resolve_model(cfg)
-    s0 = resolve_initial_state(cfg, model)
+    model, s0, solver = resolve_start(cfg)
     span = cfg.t_end / cfg.h
     if not math.isfinite(span):
         raise ConfigError(f"t_end={cfg.t_end} spans too many steps to count "
@@ -218,6 +225,4 @@ def resolve(cfg: ExperimentConfig):
     if n_steps % cfg.record_stride != 0:
         raise ConfigError(f"record_stride={cfg.record_stride} does not divide "
                           f"the step count {n_steps}")
-    solver = SolverConfig(tolerance=cfg.tolerance,
-                          max_iterations=cfg.max_iterations)
     return model, s0, n_steps, solver

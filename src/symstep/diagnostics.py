@@ -132,10 +132,10 @@ def convergence_order(variant, model, s0, T, step_sizes, reference=None,
 
     For each h the run error is the phase-space distance to the reference
     solution at T.  ``reference`` may be a callable t -> PhaseState (analytic
-    solution), a Trajectory whose final record lies at T, or None, in which
-    case a same-variant run at h_ref = min(step_sizes)/20 is used.  Errors
-    that fail to decrease monotonically with h are flagged
-    (monotone=False): the reference is then too coarse to trust.
+    solution) or None, in which case a same-variant run at h_ref =
+    min(step_sizes)/20 is used.  Errors that fail to decrease monotonically
+    with h are flagged (monotone=False): the reference is then too coarse to
+    trust.
     """
     variant = as_variant(variant)
     T = float(T)
@@ -155,10 +155,6 @@ def convergence_order(variant, model, s0, T, step_sizes, reference=None,
 
     if callable(reference):
         ref_state = reference(T)
-    elif isinstance(reference, Trajectory):
-        if abs(float(reference.times[-1]) - T) > 1e-9 * max(1.0, abs(T)):
-            raise ValueError("reference trajectory does not end at T")
-        ref_state = reference.final_state()
     elif reference is None:
         h_ref = hs[-1] / 20.0
         n_ref = int(np.ceil(T / h_ref - 1e-12))
@@ -170,7 +166,7 @@ def convergence_order(variant, model, s0, T, step_sizes, reference=None,
                             ref.failure)
         ref_state = ref.final_state()
     else:
-        raise TypeError("reference must be callable, a Trajectory, or None")
+        raise TypeError("reference must be callable or None")
     if not isinstance(ref_state, PhaseState):
         ref_state = PhaseState(*ref_state)
 

@@ -32,8 +32,11 @@ H = p^T M^{-1} p / 2 + V(q):
 
 Every model, built-in or custom, runs on one engine.  A scheme object built
 once per call (or per ``integrate`` run) holds the per-run constants and
-steps through the model's ``_gradient``/``_hessian`` hooks, on arrays, or
-at d <= 2 on Python floats (the hooks still get arrays).  An implicit step
+steps through the model's ``_gradient``/``_hessian`` hooks.  The implicit
+scheme is written once: it takes its vector work from ARRAY_STEP, on numpy
+arrays at any d, or FLOAT_STEP, on Python floats at d <= 2 (the hooks still
+get arrays), as the Newton loop takes its own from ARRAY_OPS or FLOAT_OPS,
+and ``model.dimension <= 2`` chooses the float sets.  An implicit step
 runs the one Newton loop (solvers.newton_loop) from x = a, where R(a) =
 (h/12)(ca + cx) g(a) - p needs no new evaluation, with J(a) = M/h + (h/12)
 (cb + cx) Hs(a) inverted once and kept while the residual at least halves
@@ -43,8 +46,8 @@ residual's last g(x), and a trajectory reuses each step's end evaluations
 as the next step's start: a step with k updates makes k gradient and 1
 Hessian evaluation and one inversion of J(a), plus one Hessian and
 inversion per refresh.  The public build_step_system and
-s3_momentum_update compute as the array step does, at every d, and check
-their evaluation points; only step and integrate choose the float form.
+s3_momentum_update run on ARRAY_STEP at every d and check their evaluation
+points; only step and integrate choose the float sets.
 """
 
 import enum
@@ -56,7 +59,7 @@ import numpy as np
 
 from .models import PhaseState, SingularityError, as_count, hamiltonian_energy
 from .solvers import (ARRAY_OPS, CAUSE_NON_FINITE, FLOAT_OPS, IDENTITY_REPORT,
-                      SolverConfig, SolverReport, float_update, newton_loop)
+                      SolverConfig, SolverReport, newton_loop)
 
 
 class SchemeVariant(str, enum.Enum):
@@ -138,6 +141,11 @@ def _check_state(model, s):
             f"state dimension {s.dimension} != model dimension {model.dimension}")
 
 
+def _vector(v):
+    """v as a float64 array: the form Verlet and the array step work in."""
+    return np.asarray(v, dtype=np.float64)
+
+
 def _finite(v):
     """Whether every entry of the vector v is finite; at the small d of most
     models this costs a fraction of ``np.isfinite(v).all()``."""
@@ -150,11 +158,14 @@ _NON_FINITE = SolverReport(False, 0, np.inf, CAUSE_NON_FINITE)
 class _Verlet:
     """Velocity Verlet on one model at step h.
 
-    Each scheme object has two methods.  ``start(q)`` returns the validated
+    Each scheme object has three methods.  ``form(v)`` returns the vector v
+    in the form the scheme steps.  ``start(q)`` returns the validated
     evaluations ``ev`` that a step needs at its start state.  ``advance(q,
-    p, ev)`` takes one step on raw arrays through the model's hooks and
-    returns (x, p', ev at x, report), so the next step reuses them.
+    p, ev)`` takes one step on vectors in that form through the model's
+    hooks and returns (x, p', ev at x, report), so the next step reuses them.
     """
+
+    form = staticmethod(_vector)
 
     def __init__(self, model, h):
         self.model = model
@@ -176,59 +187,99 @@ class _Verlet:
         return x, pn, gx, IDENTITY_REPORT
 
 
+def _fhooks(model):
+    """The model's hooks on lists of floats: arrays in, flat lists out."""
+    gradient, hessian = model._gradient, model._hessian
+    return (lambda x: gradient(np.array(x)).tolist(),
+            lambda x: hessian(np.array(x)).ravel().tolist())
+
+
+def _fresidual(J, x, a, c, g, b):
+    """J (x - a) + c g + b at d <= 2, J as the flat list of its rows."""
+    if len(x) == 1:
+        return (J[0] * (x[0] - a[0]) + c * g[0] + b[0],)
+    u0, u1 = x[0] - a[0], x[1] - a[1]
+    return (J[0] * u0 + J[1] * u1 + c * g[0] + b[0],
+            J[2] * u0 + J[3] * u1 + c * g[1] + b[1])
+
+
+def _fmomentum(J, x, a, c, g, e, w):
+    """J (x - a) - (c g + e w) at d <= 2, J as the flat list of its rows."""
+    if len(x) == 1:
+        return (J[0] * (x[0] - a[0]) - (c * g[0] + e * w[0]),)
+    u0, u1 = x[0] - a[0], x[1] - a[1]
+    return (J[0] * u0 + J[1] * u1 - (c * g[0] + e * w[0]),
+            J[2] * u0 + J[3] * u1 - (c * g[1] + e * w[1]))
+
+
+# The implicit step's vector work: v in the step's form (a matrix flat on
+# floats), the hooks in that form, c u + v, c u - v, R = J0 (x - a) + c g +
+# b, p' = J0 (x - a) - (c g + e w), whether every entry is finite, and the
+# loop's ops.  FLOAT_STEP rounds as ARRAY_STEP does, except where BLAS fuses
+# a multiply-add in a matrix-vector product.
+ARRAY_STEP = (_vector, lambda model: (model._gradient, model._hessian),
+              lambda c, u, v: c * u + v, lambda c, u, v: c * u - v,
+              lambda J, x, a, c, g, b: J.dot(x - a) + c * g + b,
+              lambda J, x, a, c, g, e, w: J.dot(x - a) - (c * g + e * w),
+              _finite, ARRAY_OPS)
+FLOAT_STEP = (lambda v: _vector(v).ravel().tolist(), _fhooks,
+              lambda c, u, v: [c * s + t for s, t in zip(u, v)],
+              lambda c, u, v: [c * s - t for s, t in zip(u, v)],
+              _fresidual, _fmomentum, lambda v: all(map(math.isfinite, v)), FLOAT_OPS)
+
+
 class _Implicit:
-    """One s3 variant on one model at step h, on arrays.  It holds diag(M/h)
-    and (h/12)(ca, cx, cb); its ``ev`` is (g, Hs, J0 = M/h + (h/12) cb Hs)
-    at the start state (see :class:`_Verlet`).  The momentum update forms J0
-    at x, and the next step reuses it in R and in J(a) = J0 + (h/12) cx
-    Hs(a).  The residual keeps its last (x, g(x)) in ``_residual_at`` for
-    the momentum update."""
+    """One s3 variant on one model at step h, on the vector work of ARRAY_STEP
+    or FLOAT_STEP.  It holds diag(M/h) and (h/12)(ca, cx, cb); its ``ev`` is
+    (g, Hs, J0 = M/h + (h/12) cb Hs) at the start state (see
+    :class:`_Verlet`).  The momentum update forms J0 at x, and the next step
+    reuses it in R and in J(a) = J0 + (h/12) cx Hs(a).  The residual keeps
+    its last (x, g(x)) in ``_residual_at`` for the momentum update."""
 
-    floats, ops = False, ARRAY_OPS
-
-    def __init__(self, variant, model, h, cfg=None):
+    def __init__(self, variant, model, h, cfg, step_set):
         sv, sg = _S3_SIGNS[variant]
         ca, cx, cb = -6.0 * sv - sg, sg, sg
         c = h / 12.0
         self.model = model
         self.cfg = cfg if cfg is not None else SolverConfig()
-        Mh = np.diag(model.mass / h)
-        self.Mh = Mh.ravel().tolist() if self.floats else Mh
+        (self.form, hooks, self.axpy, self.axmy, self.R, self.P, self.finite,
+         self.ops) = step_set
+        self.hooks = hooks(model)
+        self.Mh = self.form(np.diag(model.mass / h))
         self.cca, self.ccx, self.ccb = c * ca, c * cx, c * cb
         self._residual_at = None, None
-        self.hooks = model._gradient, model._hessian
 
     def start(self, q):
-        g, H = self.model.gradient(q), self.model.hessian(q)
-        return g, H, self.Mh + self.ccb * H
+        g, H = self.form(self.model.gradient(q)), self.form(self.model.hessian(q))
+        return g, H, self.axpy(self.ccb, H, self.Mh)
 
     def system(self, a, p, ga, Ha, J0, gradient, hessian):
         """R(x) = J0 (x - a) + (h/12) cx g(x) + (h/12) ca g(a) - p, with J0 =
         M/h + (h/12) cb Hs(a), and its Jacobian as closures through the given
         g and Hs, plus R(a) and J(a)."""
-        base = self.cca * ga - p
-        ccx = self.ccx
+        ccx, R, axpy = self.ccx, self.R, self.axpy
+        base = self.axmy(self.cca, ga, p)
 
         def residual(x):
             g = gradient(x)
             self._residual_at = x, g
-            return J0.dot(x - a) + ccx * g + base
+            return R(J0, x, a, ccx, g, base)
 
         def jacobian(x):
-            return J0 + ccx * hessian(x)
+            return axpy(ccx, hessian(x), J0)
 
-        return residual, jacobian, (self.cca + ccx) * ga - p, J0 + ccx * Ha
+        return residual, jacobian, self.axmy(self.cca + ccx, ga, p), axpy(ccx, Ha, J0)
 
     def momentum(self, a, x, ga, gx=None):
         """p' and the evaluations (g, Hs, M/h + (h/12) cb Hs) at x, which
         are the next step's start; it evaluates Hs(x), and g(x) when not
         given."""
+        gradient, hessian = self.hooks
         if gx is None:
-            gx = self.model._gradient(x)
-        Hx = self.model._hessian(x)
-        J0 = self.Mh + self.ccb * Hx
-        pn = J0.dot(x - a) - (self.ccx * ga + self.cca * gx)
-        return pn, (gx, Hx, J0)
+            gx = gradient(x)
+        Hx = hessian(x)
+        J0 = self.axpy(self.ccb, Hx, self.Mh)
+        return self.P(J0, x, a, self.ccx, ga, self.cca, gx), (gx, Hx, J0)
 
     def advance(self, a, p, ev):
         # from x = a, with r0 = R(a) and j0 = J(a) (module docstring)
@@ -244,69 +295,17 @@ class _Implicit:
         x_r, g_r = self._residual_at
         self._residual_at = None, None
         pn, ev = self.momentum(a, x, ev[0], g_r if x is x_r else None)
-        if not all(map(math.isfinite, pn if self.floats else pn.tolist())):
+        if not self.finite(pn):
             raise StepError("momentum update produced a non-finite value",
                             replace(report, converged=False, cause=CAUSE_NON_FINITE))
         return x, pn, ev, report
 
 
-class _FloatImplicit(_Implicit):
-    """The same step at d <= 2 on Python floats (a matrix as the flat list of
-    its rows; the hooks get arrays), rounding as the array one does except
-    where BLAS fuses a multiply-add in a matrix-vector product."""
-
-    floats, ops = True, FLOAT_OPS
-
-    def start(self, q):
-        g, H = self.model.gradient(q).tolist(), self.model.hessian(q).ravel().tolist()
-        return g, H, [m + self.ccb * v for m, v in zip(self.Mh, H)]
-
-    def system(self, a, p, ga, Ha, J0, gradient, hessian):
-        ccx = self.ccx
-        base = [self.cca * g - v for g, v in zip(ga, p)]
-        # at d = 1 the second row and entries are copies that are never read
-        (j00, j01, j10, j11), (a0, a1), (b0, b1) = (
-            (J0, a, base) if len(a) == 2 else (J0 * 4, a * 2, base * 2))
-
-        def residual(x):
-            g = gradient(np.array(x)).tolist()
-            self._residual_at = x, g
-            if len(g) == 1:
-                return (j00 * (x[0] - a0) + ccx * g[0] + b0,)
-            u0, u1 = x[0] - a0, x[1] - a1
-            return (j00 * u0 + j01 * u1 + ccx * g[0] + b0,
-                    j10 * u0 + j11 * u1 + ccx * g[1] + b1)
-
-        def jacobian(x):
-            return [u + ccx * v for u, v in zip(J0, hessian(np.array(x)).ravel().tolist())]
-
-        return (residual, jacobian, [(self.cca + ccx) * g - v for g, v in zip(ga, p)],
-                [u + ccx * v for u, v in zip(J0, Ha)])
-
-    def momentum(self, a, x, ga, gx=None):
-        ccx, cca, xa = self.ccx, self.cca, np.array(x)
-        if gx is None:
-            gx = self.model._gradient(xa).tolist()
-        Hx = self.model._hessian(xa).ravel().tolist()
-        J0 = [m + self.ccb * v for m, v in zip(self.Mh, Hx)]
-        # J0 (x - a) - w, as the update of -w by J0 (x - a)
-        _, pn = float_update(J0, [u - v for u, v in zip(x, a)],
-                             [-(ccx * g + cca * w) for g, w in zip(ga, gx)])
-        return pn, (gx, Hx, J0)
-
-
 def _scheme(variant, model, h, cfg=None):
     if variant is SchemeVariant.VERLET:
         return _Verlet(model, h)
-    if model.dimension <= 2:
-        return _FloatImplicit(variant, model, h, cfg)
-    return _Implicit(variant, model, h, cfg)
-
-
-def _form(scheme, v):
-    """The vector v (an array or a sequence) in the form the scheme steps."""
-    v = np.asarray(v, dtype=np.float64)
-    return v.tolist() if isinstance(scheme, _FloatImplicit) else v
+    return _Implicit(variant, model, h, cfg,
+                     FLOAT_STEP if model.dimension <= 2 else ARRAY_STEP)
 
 
 def _require_s3(variant):
@@ -320,7 +319,7 @@ def build_step_system(variant, model, s, h):
     """Residual and analytic Jacobian of the implicit position equation, as
     closures over the frozen step data (start state, g(a), Hs(a)) that
     compute as the array step does and check x like any evaluation point."""
-    scheme = _Implicit(_require_s3(variant), model, _check_h(h))
+    scheme = _Implicit(_require_s3(variant), model, _check_h(h), None, ARRAY_STEP)
     _check_state(model, s)
     return scheme.system(s.q, s.p, *scheme.start(s.q), model.gradient, model.hessian)[:2]
 
@@ -329,8 +328,8 @@ def s3_momentum_update(variant, model, a, x, h):
     """Explicit momentum relation evaluated at the solved position x, as the
     array step computes it; a and x are validated like any evaluation point
     (wrong length: ValueError, singular: SingularityError)."""
-    scheme = _Implicit(_require_s3(variant), model, _check_h(h))
-    a, x = (np.asarray(v, dtype=np.float64) for v in (a, x))
+    scheme = _Implicit(_require_s3(variant), model, _check_h(h), None, ARRAY_STEP)
+    a, x = map(scheme.form, (a, x))
     return scheme.momentum(a, x, model.gradient(a), model.gradient(x))[0]
 
 
@@ -345,8 +344,7 @@ def step_action(variant, model, a, x, h):
     variant = _require_s3(variant)
     h = _check_h(h)
     sv, sg = _S3_SIGNS[variant]
-    a = np.asarray(a, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
+    a, x = map(_vector, (a, x))
     delta = x - a
     kinetic = float(delta @ (model.mass * delta)) / (2.0 * h)
     pot = sv * 0.5 * h * (model.value(a) + model.value(x))
@@ -363,8 +361,8 @@ def step(variant, model, s, h, solver_cfg=None):
     """
     scheme = _scheme(as_variant(variant), model, _check_h(h), solver_cfg)
     _check_state(model, s)
-    q = _form(scheme, s.q)
-    x, pn, _, report = scheme.advance(q, _form(scheme, s.p), scheme.start(q))
+    q = scheme.form(s.q)
+    x, pn, _, report = scheme.advance(q, scheme.form(s.p), scheme.start(q))
     return StepResult(PhaseState(x, pn), report)
 
 
@@ -396,7 +394,7 @@ def integrate(model, variant, s0, h, n_steps, record_stride=1, solver_cfg=None):
         raise ValueError(f"{n_records} records of dimension {model.dimension} "
                          "are too many to allocate") from None
     scheme = _scheme(variant, model, h, solver_cfg)
-    q, p = _form(scheme, s0.q), _form(scheme, s0.p)
+    q, p = scheme.form(s0.q), scheme.form(s0.p)
     Q[0], P[0] = q, p
     rec, k, e0, failure = 0, 1, None, None
     try:

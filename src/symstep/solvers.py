@@ -106,7 +106,7 @@ def _update(minus_K, r, x):
     return delta, x + delta
 
 
-def float_update(minus_K, r, x):
+def _fupdate(minus_K, r, x):
     if len(r) == 1:
         d0 = minus_K[0] * r[0]
         return (d0,), (x[0] + d0,)
@@ -119,7 +119,7 @@ def float_update(minus_K, r, x):
 # The loop's vector work (delta = -K r with x + delta, ||.||_inf, r . delta,
 # -K / 2, -J^-1) on arrays, or at d <= 2 on lists of floats (a matrix flat).
 ARRAY_OPS = (_update, _norm, np.dot, lambda K: 0.5 * K, _minus_inverse)
-FLOAT_OPS = (float_update, _fnorm, lambda r, d: sum([u * v for u, v in zip(r, d)]),
+FLOAT_OPS = (_fupdate, _fnorm, lambda r, d: sum([u * v for u, v in zip(r, d)]),
              lambda K: [0.5 * k for k in K], _fminus_inverse)
 
 

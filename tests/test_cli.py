@@ -208,6 +208,26 @@ def test_converge_single_h_usage_error(capsys):
     assert "steps" in capsys.readouterr().err
 
 
+def test_converge_ignores_the_run_step_count(capsys):
+    """converge takes its step sizes from steps, so an h whose run would
+    take 33 steps, which record_stride = 4 does not divide, or no step at
+    all leaves its output that of h = 0.1; run, compare and check refuse
+    both."""
+    argv = ["--model", "harmonic", "--scheme", "verlet", "--t_end", "10",
+            "--q0", "1", "--p0", "0", "--steps", "0.1,0.05", "--record_stride", "4"]
+    outputs = []
+    for h in ("0.1", "0.3", "100"):
+        assert main(["converge", "--h", h] + argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0].startswith("h,global_error\n")
+    assert outputs[1] == outputs[2] == outputs[0]
+    for command in ("run", "compare", "check"):
+        for h, message in (("0.3", "does not divide the step count 33"),
+                           ("100", "spans no steps")):
+            assert main([command, "--h", h] + argv) == 1
+            assert message in capsys.readouterr().err
+
+
 # -------------------------------------------------------------------- check
 
 def test_check_harmonic_verlet_all_pass(capsys):

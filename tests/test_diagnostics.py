@@ -220,6 +220,17 @@ def test_convergence_order_self_reference(kepler):
     assert 1.7 <= est.fitted_order <= 2.3
 
 
+def test_convergence_order_refuses_a_reference_that_is_not_callable(harmonic):
+    """A reference is a flow t -> PhaseState or None; a Trajectory ending
+    at T is refused like a PhaseState."""
+    s = ss.PhaseState([1.0], [0.0])
+    traj = ss.integrate(harmonic, "verlet", s, 0.0125, 80)
+    for reference in (traj, traj.final_state()):
+        with pytest.raises(TypeError, match="callable"):
+            ss.convergence_order("verlet", harmonic, s, 1.0, [0.1, 0.05],
+                                 reference=reference)
+
+
 def test_convergence_order_rejects_non_divisible_h(harmonic):
     s = ss.PhaseState([1.0], [0.0])
     with pytest.raises(ValueError):

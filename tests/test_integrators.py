@@ -217,8 +217,8 @@ def test_step_momentum_is_the_momentum_update(kepler):
                 continue
             steps += 1
             scheme = integrators._scheme(variant, model, h)
-            a, x = (integrators._form(scheme, v) for v in (s.q, r.state.q))
-            p, _ = scheme.momentum(a, x, integrators._form(scheme, model.gradient(s.q)))
+            a, x = (scheme.form(v) for v in (s.q, r.state.q))
+            p, _ = scheme.momentum(a, x, scheme.form(model.gradient(s.q)))
             if np.asarray(p).tobytes() != r.state.p.tobytes():
                 differ.append((model.name, variant, h, s))
     assert steps >= 3000
@@ -253,20 +253,19 @@ def float_step_cases(rng):
 
 
 def test_float_step_matches_the_array_step():
-    """At d <= 2 an implicit step runs on Python floats, and the array
-    scheme of d > 2 is its reference.  On 6003 seeded steps the two agree on
-    whether the step converges and on the cause of a failure, x to
-    2 ulp(1 + ||x||) and p' to 2 (max m/|h|) ulp(1 + ||x||) + 2 ulp(||p'||).
-    They differ only where BLAS fuses a multiply-add in a 2 x 2
-    matrix-vector product."""
+    """At d <= 2 an implicit step runs on FLOAT_STEP, Python floats, and the
+    same scheme on ARRAY_STEP, the set of d > 2, is its reference.  On 6003
+    seeded steps the two agree on whether the step converges and on the
+    cause of a failure, x to 2 ulp(1 + ||x||) and p' to 2 (max m/|h|)
+    ulp(1 + ||x||) + 2 ulp(||p'||).  They differ only where BLAS fuses a
+    multiply-add in a 2 x 2 matrix-vector product."""
     from symstep import integrators
 
-    def one_step(cls, variant, model, s, h, cfg):
-        scheme = cls(variant, model, h, cfg)
-        q = integrators._form(scheme, s.q)
+    def one_step(step_set, variant, model, s, h, cfg):
+        scheme = integrators._Implicit(variant, model, h, cfg, step_set)
+        q = scheme.form(s.q)
         try:
-            x, pn, _, report = scheme.advance(q, integrators._form(scheme, s.p),
-                                              scheme.start(q))
+            x, pn, _, report = scheme.advance(q, scheme.form(s.p), scheme.start(q))
         except ss.StepError as err:
             return None, None, err.report.cause
         return np.asarray(x), np.asarray(pn), report.cause
@@ -274,8 +273,8 @@ def test_float_step_matches_the_array_step():
     causes = []
     for model, s, h, cfg in float_step_cases(np.random.default_rng(2306)):
         for variant in S3_VARIANTS:
-            x, p, cause = one_step(integrators._Implicit, variant, model, s, h, cfg)
-            fx, fp, fcause = one_step(integrators._FloatImplicit, variant, model,
+            x, p, cause = one_step(integrators.ARRAY_STEP, variant, model, s, h, cfg)
+            fx, fp, fcause = one_step(integrators.FLOAT_STEP, variant, model,
                                       s, h, cfg)
             assert fcause == cause, (model.name, variant, h, s)
             causes.append(cause)

@@ -295,12 +295,13 @@ def test_zero_diagonal_at_neumann_size_is_singular():
 
 def _newton_traffic(monkeypatch):
     """(calls, lapack): the Newton-loop calls of the steps and of
-    solve_newton per (ARRAY_OPS or FLOAT_OPS, member index), float_update's
-    in the float momentum update included, and ||D^-1 O||_inf of each J that
-    LAPACK inverts."""
-    members = {id(f): (kind, i)
-               for kind, ops in (("array", solvers.ARRAY_OPS), ("float", solvers.FLOAT_OPS))
-               for i, f in enumerate(ops)}
+    solve_newton per (ARRAY_OPS or FLOAT_OPS, member index), the calls of
+    the step primitives per (ARRAY_STEP or FLOAT_STEP, member index), and
+    ||D^-1 O||_inf of each J that LAPACK inverts."""
+    sets = (("array", solvers.ARRAY_OPS), ("float", solvers.FLOAT_OPS),
+            ("array-step", integrators.ARRAY_STEP[:-1]),
+            ("float-step", integrators.FLOAT_STEP[:-1]))
+    members = {id(f): (kind, i) for kind, ops in sets for i, f in enumerate(ops)}
     calls, lapack = {}, []
 
     def counted(f):
@@ -320,18 +321,21 @@ def _newton_traffic(monkeypatch):
     for module in (integrators, solvers):
         monkeypatch.setattr(module, "newton_loop", lambda *args: loop(
             *args[:-1], tuple(map(counted, args[-1]))))
-    monkeypatch.setattr(integrators, "float_update", counted(solvers.float_update))
+    for name in ("ARRAY_STEP", "FLOAT_STEP"):
+        *primitives, ops = getattr(integrators, name)
+        monkeypatch.setattr(integrators, name, (*map(counted, primitives), ops))
     monkeypatch.setattr(np.linalg, "inv", traced_inv)
     return calls, lapack
 
 
 def test_workload_shapes_reach_their_primitives(monkeypatch):
-    """s3 steps at d = 1 (harmonic) and d = 2 (Kepler) run on FLOAT_OPS
-    alone, while solve_newton on the build_step_system closures and
-    s3_momentum_update run there on ARRAY_OPS alone and return float64
-    arrays; LJ(8) at d = 24 steps on ARRAY_OPS alone, with the Neumann K at
-    h = 0.005 and LAPACK's inverse at h = 0.02 from a relaxed cluster (the
-    relaxed LJ(8) check), where ||D^-1 O||_inf exceeds NEUMANN_MAX_COUPLING."""
+    """s3 steps at d = 1 (harmonic) and d = 2 (Kepler) run on FLOAT_STEP
+    and FLOAT_OPS alone, while solve_newton on the build_step_system
+    closures and s3_momentum_update run there on ARRAY_STEP and ARRAY_OPS
+    alone and return float64 arrays; LJ(8) at d = 24 steps on ARRAY_STEP
+    and ARRAY_OPS alone, with the Neumann K at h = 0.005 and LAPACK's
+    inverse at h = 0.02 from a relaxed cluster (the relaxed LJ(8) check),
+    where ||D^-1 O||_inf exceeds NEUMANN_MAX_COUPLING."""
     calls, lapack = _newton_traffic(monkeypatch)
     rng = np.random.default_rng(25)
     small = [(model, ss.PhaseState(q, np.full(model.dimension, 0.5))) for model, q in (
@@ -339,8 +343,9 @@ def test_workload_shapes_reach_their_primitives(monkeypatch):
         (ss.make_model("kepler"), ss.kepler_start(0.3)[0]))]
     for model, s in small:
         ss.integrate(model, "s3-corrected", s, 0.05, 20)
-    assert {kind for kind, _ in calls} == {"float"}
+    assert {kind for kind, _ in calls} == {"float", "float-step"}
     assert all(calls.get(("float", i)) for i in (0, 1, 4))
+    assert all(calls.get(("float-step", i)) for i in range(7))
     assert not lapack
 
     calls.clear()
@@ -351,8 +356,9 @@ def test_workload_shapes_reach_their_primitives(monkeypatch):
         p = ss.s3_momentum_update("s3-corrected", model, s.q, x, 0.05)
         for v in (x, p, residual(x), jacobian(x)):
             assert type(v) is np.ndarray and v.dtype == np.float64
-    assert {kind for kind, _ in calls} == {"array"}
+    assert {kind for kind, _ in calls} == {"array", "array-step"}
     assert all(calls.get(("array", i)) for i in (0, 1, 4))
+    assert all(calls.get(("array-step", i)) for i in range(6))
     assert not lapack
 
     calls.clear()
@@ -361,7 +367,7 @@ def test_workload_shapes_reach_their_primitives(monkeypatch):
     p = rng.normal(scale=0.2, size=24)
     traj = ss.integrate(lj8, "s3-corrected", ss.PhaseState(q, p), 0.005, 20)
     assert not traj.failed
-    assert {kind for kind, _ in calls} == {"array"}
+    assert {kind for kind, _ in calls} == {"array", "array-step"}
     assert calls[("array", 4)] >= 20
     assert not lapack
 
@@ -370,7 +376,7 @@ def test_workload_shapes_reach_their_primitives(monkeypatch):
         q = q - 0.01 * lj8.gradient(q)
     traj = ss.integrate(lj8, "s3-corrected", ss.PhaseState(q, p), 0.02, 20)
     assert not traj.failed
-    assert {kind for kind, _ in calls} == {"array"}
+    assert {kind for kind, _ in calls} == {"array", "array-step"}
     assert len(lapack) == calls[("array", 4)] >= 20
     assert min(lapack) > solvers.NEUMANN_MAX_COUPLING
 
